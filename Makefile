@@ -46,6 +46,13 @@ cover:
 # schedulers pay nothing) and the scheduler core itself (a warm
 # Session.Place/Remove cycle must run entirely out of session scratch
 # — see TestSessionPlaceZeroAlloc for the same contract as a test).
+# The rescue path (migration, defragmentation) runs out of run scratch
+# too; BenchmarkRescueTight places the tight fixture's tail, where
+# nearly every container is rescued, and must stay at or under
+# RESCUEALLOCS allocs per container (measured 2 — amortised growth of
+# resident lists, blacklist rows and machine maps plus the candidate
+# sweep's fan-out; the sort-everything rescue it replaced made 41).
+RESCUEALLOCS ?= 4
 allocguard:
 	@out="$$($(GO) test ./internal/obs/ -run='^$$' -bench='BenchmarkTracerDisabled|BenchmarkCounterDisabled' -benchmem -benchtime=1000x)"; \
 	echo "$$out"; \
@@ -62,6 +69,13 @@ allocguard:
 		echo "allocguard: Session.Place allocates!" >&2; exit 1; \
 	fi
 	$(GO) test ./internal/core/ -run='^TestSessionPlaceZeroAlloc$$' -count=1
+	@out="$$($(GO) test ./internal/core/ -run='^$$' -bench='BenchmarkRescueTight' -benchmem -benchtime=8000x)"; \
+	echo "$$out"; \
+	if echo "$$out" | grep -E '^Benchmark' | awk '{ if ($$(NF-1) > $(RESCUEALLOCS)) exit 1 }'; then \
+		echo "allocguard: rescue path stays within $(RESCUEALLOCS) allocs/container"; \
+	else \
+		echo "allocguard: rescue path exceeds $(RESCUEALLOCS) allocs/container!" >&2; exit 1; \
+	fi
 
 # fuzz gives each invariant fuzz target a short budget beyond its
 # committed seed corpus; FUZZTIME=5m for a serious soak.

@@ -37,10 +37,10 @@ const (
 // returning a non-nil error (or panicking) are cold — corruption and
 // validation paths may build rich errors.  //aladdin:hotpath-stop on a
 // function excludes it and everything only reachable through it from
-// the walk; the scheduler's rescue pipeline (migration, defrag,
-// preemption) allocates by design and is annotated so, because the
-// AllocsPerRun==0 gate measures the steady state where direct search
-// succeeds.
+// the walk; in the scheduler core that is the corruption report built
+// when a rescue's own rollback fails.  The rescue pipeline itself
+// (migration, defrag, preemption) is inside the walk: on a tight
+// cluster it serves most placements.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags heap-allocating constructs reachable from //aladdin:hotpath roots; " +

@@ -101,6 +101,32 @@ func (b *Blacklist) AllowsRef(m topology.MachineID, app AppRef) bool {
 	return true
 }
 
+// ConflictsRef reports whether a placed container of app a keeps app b
+// off its machine — the per-pair question behind the per-machine
+// counters, for callers that must name the blocking resident rather
+// than only learn that one exists.  Symmetric; a == b asks about self
+// anti-affinity; NoApp conflicts with nothing.
+func (b *Blacklist) ConflictsRef(a, other AppRef) bool {
+	if a == NoApp || other == NoApp {
+		return false
+	}
+	if a == other {
+		return b.selfAnti[a]
+	}
+	// partners is the symmetric closure, so either list answers; scan
+	// the shorter.
+	list, want := b.partners[a], other
+	if len(b.partners[other]) < len(list) {
+		list, want = b.partners[other], a
+	}
+	for _, p := range list {
+		if p == want {
+			return true
+		}
+	}
+	return false
+}
+
 // BlockedApps returns how many distinct apps are currently blocked on
 // the machine (Equation 7's blacklist size).
 func (b *Blacklist) BlockedApps(m topology.MachineID) int {

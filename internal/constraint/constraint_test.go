@@ -105,6 +105,30 @@ func TestBlacklistReset(t *testing.T) {
 	}
 }
 
+// TestConflictsRefMatchesAntiAffine checks the ordinal conflict query
+// against the workload's name-keyed one on every app pair, in both
+// argument orders, plus the unknown-app sentinel.
+func TestConflictsRefMatchesAntiAffine(t *testing.T) {
+	w := workload.MustNew([]*workload.App{
+		{ID: "web", Demand: resource.Cores(4, 8192), Replicas: 1, AntiAffinitySelf: true, AntiAffinityApps: []string{"db", "cache"}},
+		{ID: "db", Demand: resource.Cores(8, 16384), Replicas: 1, AntiAffinityApps: []string{"batch"}},
+		{ID: "cache", Demand: resource.Cores(2, 4096), Replicas: 1},
+		{ID: "batch", Demand: resource.Cores(2, 4096), Replicas: 1, AntiAffinitySelf: true},
+		{ID: "solo", Demand: resource.Cores(1, 1024), Replicas: 1},
+	})
+	b := NewBlacklist(w, 1)
+	for _, x := range w.Apps() {
+		for _, y := range w.Apps() {
+			if got, want := b.ConflictsRef(b.Ref(x.ID), b.Ref(y.ID)), w.AntiAffine(x.ID, y.ID); got != want {
+				t.Errorf("ConflictsRef(%s, %s) = %v, AntiAffine = %v", x.ID, y.ID, got, want)
+			}
+		}
+		if b.ConflictsRef(b.Ref(x.ID), NoApp) || b.ConflictsRef(NoApp, b.Ref(x.ID)) {
+			t.Errorf("ConflictsRef(%s, NoApp) = true", x.ID)
+		}
+	}
+}
+
 func TestBlockedApps(t *testing.T) {
 	w := testWorkload()
 	b := NewBlacklist(w, 2)

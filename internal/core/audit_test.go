@@ -157,7 +157,7 @@ func TestCorruptionErrorSurfacesNotPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.r.net.units[ct] = 1 // memo says 1 unit; the arc carries 4000
-	_, err = s.r.relocate([]*workload.Container{blocker}, m, web[1])
+	_, err = s.r.relocate(m, web[1], s.r.search.refOf(web[1]))
 	if err == nil {
 		t.Fatal("sabotaged relocate returned no error")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"aladdin/internal/constraint"
 	"aladdin/internal/resource"
+	"aladdin/internal/topology"
 	"aladdin/internal/workload"
 )
 
@@ -45,4 +46,31 @@ func TestExportNetworkDOTBadAssignment(t *testing.T) {
 	if err := ExportNetworkDOT(&buf, w, cl, bad); err == nil {
 		t.Error("unknown machine in assignment should fail")
 	}
+}
+
+// checkRelocationMemo is the differential oracle for the rescue
+// relocation memo: from now on every memoised answer the session (or
+// each shard's session) gives is compared with a fresh findMachine for
+// the same container and exclusion, and any disagreement fails the
+// test (Errorf, not Fatalf: shard sessions answer on worker
+// goroutines).  The oracle's own searches add to WorkUnits and the
+// search counters, so tests that pin those must not install it.
+func checkRelocationMemo(tb testing.TB, sessions ...*Session) {
+	for _, s := range sessions {
+		s.r.rescue.check = func(b *workload.Container, m, memoised, fresh topology.MachineID) {
+			if memoised != fresh {
+				tb.Errorf("relocation memo: %s lifted off machine %d: memo says %d, fresh search says %d", b.ID, m, memoised, fresh)
+			}
+		}
+	}
+}
+
+// shardSessions exposes a sharded session's per-shard sessions to
+// checkRelocationMemo.
+func shardSessions(ss *ShardedSession) []*Session {
+	out := make([]*Session, len(ss.shards))
+	for i, sh := range ss.shards {
+		out[i] = sh.sess
+	}
+	return out
 }

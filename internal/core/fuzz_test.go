@@ -56,6 +56,7 @@ func FuzzPlace(f *testing.F) {
 		w := sessionWorkload()
 		cl := smallCluster(8)
 		s := NewSession(DefaultOptions(), w, cl)
+		checkRelocationMemo(t, s)
 		containers := w.Containers()
 		machines := cl.Machines()
 		for i, b := range data {
@@ -107,6 +108,7 @@ func FuzzFailRecover(f *testing.F) {
 		w := sessionWorkload()
 		cl := smallCluster(8)
 		s := NewSession(DefaultOptions(), w, cl)
+		checkRelocationMemo(t, s)
 		if _, err := s.Place(w.Containers()); err != nil {
 			t.Fatal(err)
 		}

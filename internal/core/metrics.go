@@ -30,6 +30,7 @@ type coreMetrics struct {
 	dlCutoffs     *obs.Counter
 	searchIndexed *obs.Counter
 	searchNaive   *obs.Counter
+	relocMemoHits *obs.Counter
 
 	// Pipeline outcome counters.
 	placements     *obs.Counter
@@ -81,6 +82,7 @@ func newCoreMetrics(reg *obs.Registry, labels obs.Labels) coreMetrics {
 		dlCutoffs:     counter("aladdin_dl_cutoffs_total", "searches truncated at the first feasible machine by depth limiting"),
 		searchIndexed: counter("aladdin_search_indexed_total", "path searches answered by the residual-capacity index"),
 		searchNaive:   counter("aladdin_search_naive_total", "path searches answered by the naive linear scan"),
+		relocMemoHits: counter("aladdin_relocation_memo_hits_total", "rescue relocation searches answered from the class memo instead of a descent (not counted as searches)"),
 
 		placements:     counter("aladdin_placements_total", "augmenting paths routed (containers placed, including rescue re-placements)"),
 		migrations:     counter("aladdin_migrations_total", "containers relocated by migration and defragmentation"),
@@ -118,6 +120,8 @@ func (m coreMetrics) initGauges(cluster *topology.Cluster) {
 // corrupt wraps a rescue-step failure as a CorruptionError, counting
 // it and emitting the corruption trace event first — a corrupted
 // session is exactly what an operator needs paged about.
+//
+//aladdin:hotpath-stop rollback bookkeeping: reached only when a rescue's own undo step failed, and builds the error it reports
 func (r *run) corrupt(op string, err error) error {
 	r.met.corruptions.Inc()
 	r.trc.Emit(obs.Event{Kind: obs.EvRollbackCorruption, Detail: op, Machine: -1})

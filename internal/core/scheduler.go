@@ -80,6 +80,8 @@ type run struct {
 	moveCap      int
 	moveStartMig int
 	moveStartPre int
+
+	rescue rescueScratch
 }
 
 // setMoveBudget caps subsequent rescue moves at cap (<= 0 clears the
@@ -128,6 +130,7 @@ func newRun(opts Options, w *workload.Workload, cluster *topology.Cluster) *run 
 		residents: make([][]int32, cluster.Size()),
 		requeues:  make([]int, w.NumContainers()),
 		byID:      make(map[string]*workload.Container, w.NumContainers()),
+		rescue:    rescueScratch{memo: make(map[classKey]relocation)},
 	}
 	for i := range r.asg {
 		r.asg[i] = topology.Invalid
@@ -374,8 +377,6 @@ func (r *run) unplace(c *workload.Container, m topology.MachineID) error {
 // blocks it, and relocate the blocking containers elsewhere.  The
 // relocated containers stay deployed, so priority safety holds by
 // construction.
-//
-//aladdin:hotpath-stop rescue path: migrations are rare and allocate for ranking/rollback by design
 func (r *run) tryMigration(c *workload.Container) (bool, error) {
 	if !r.met.on {
 		return r.tryMigrationInner(c)
@@ -386,45 +387,40 @@ func (r *run) tryMigration(c *workload.Container) (bool, error) {
 	return ok, err
 }
 
+// Attempt caps of the two relocate-to-admit rescues: how many ranked
+// candidate machines each tries before giving up.
+const (
+	maxMigrationAttempts = 32
+	maxDefragAttempts    = 16
+)
+
 func (r *run) tryMigrationInner(c *workload.Container) (bool, error) {
 	// Enumerate every machine the container fits on resource-wise,
 	// then try the ones with the fewest blockers first: lightly
 	// blocked machines clear cheapest, and under heavy anti-affinity
 	// pressure (a large spread service arriving into a packed
 	// cluster) most machines hold only one or two blockers.
-	candidates := r.search.findResourceFits(c, noExclusion, 0)
-	type cand struct {
-		m        topology.MachineID
-		blockers []*workload.Container
+	ref := r.search.refOf(c)
+	limit := r.opts.maxBlockers()
+	if rem := r.movesRemaining(); rem < limit {
+		limit = rem // rescue-move budget binds tighter
 	}
-	var ranked []cand
-	for _, mid := range candidates {
-		if r.blacklist.Allows(mid, c) {
+	sc := &r.rescue
+	sc.top.reset(maxMigrationAttempts)
+	for _, mid := range r.search.findResourceFits(c, noExclusion, 0) {
+		if r.blacklist.AllowsRef(mid, ref) {
 			// A direct path exists after all (state changed since the
 			// failed search); just take it.
 			return r.place(c, mid) == nil, nil
 		}
-		blockers := r.blockersOn(mid, c)
-		if len(blockers) == 0 || len(blockers) > r.opts.maxBlockers() {
-			continue
+		sc.blockers = r.appendBlockers(sc.blockers[:0], mid, ref)
+		if n := len(sc.blockers); n > 0 && n <= limit {
+			sc.top.offer(rankEntry{key: int64(n), m: mid})
 		}
-		if len(blockers) > r.movesRemaining() {
-			continue // over the rescue-move budget
-		}
-		ranked = append(ranked, cand{m: mid, blockers: blockers})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if len(ranked[i].blockers) != len(ranked[j].blockers) {
-			return len(ranked[i].blockers) < len(ranked[j].blockers)
-		}
-		return ranked[i].m < ranked[j].m
-	})
-	const maxAttempts = 32
-	for i, cd := range ranked {
-		if i >= maxAttempts {
-			break
-		}
-		if ok, err := r.relocate(cd.blockers, cd.m, c); err != nil {
+	clear(sc.memo)
+	for _, e := range sc.top.e[:sc.top.n] {
+		if ok, err := r.relocate(e.m, c, ref); err != nil {
 			return false, err
 		} else if ok {
 			return true, nil
@@ -433,75 +429,204 @@ func (r *run) tryMigrationInner(c *workload.Container) (bool, error) {
 	return false, nil
 }
 
-// blockersOn lists containers on machine m whose app conflicts with c
-// (pre-placed residents outside the workload carry no constraints and
-// are never blockers).
-func (r *run) blockersOn(m topology.MachineID, c *workload.Container) []*workload.Container {
+// appendBlockers appends the containers on machine m whose app
+// conflicts with app ref (pre-placed residents outside the workload
+// carry no constraints and are never blockers).
+func (r *run) appendBlockers(dst []*workload.Container, m topology.MachineID, ref constraint.AppRef) []*workload.Container {
 	cs := r.w.Containers()
-	var out []*workload.Container
 	for _, ord := range r.residents[m] {
-		other := cs[ord]
-		if r.w.AntiAffine(other.App, c.App) || (other.App == c.App && r.w.AntiAffine(c.App, c.App)) {
-			out = append(out, other)
+		if r.blacklist.ConflictsRef(r.search.refs[ord], ref) {
+			dst = append(dst, cs[ord])
 		}
 	}
-	return out
+	return dst
 }
 
-// relocate moves every blocker off machine m and places c there; on
-// any failure all moves are rolled back.  A non-nil error means a
-// rollback or restore step itself failed and the scheduler state is
-// corrupt (see CorruptionError).
-func (r *run) relocate(blockers []*workload.Container, m topology.MachineID, c *workload.Container) (bool, error) {
-	type move struct {
-		c        *workload.Container
-		from, to topology.MachineID
-	}
-	var done []move
-	rollback := func() error {
-		for i := len(done) - 1; i >= 0; i-- {
-			mv := done[i]
-			if err := r.unplace(mv.c, mv.to); err != nil {
-				return r.corrupt("migration rollback unplace", err)
-			}
-			if err := r.place(mv.c, mv.from); err != nil {
-				return r.corrupt("migration rollback replace", err)
-			}
-		}
-		return nil
-	}
-	for _, b := range blockers {
+// relocate moves every container blocking app ref off machine m and
+// places c there; on any failure all moves are rolled back.  A non-nil
+// error means a rollback or restore step itself failed and the
+// scheduler state is corrupt (see CorruptionError).
+func (r *run) relocate(m topology.MachineID, c *workload.Container, ref constraint.AppRef) (bool, error) {
+	sc := &r.rescue
+	// Re-listed rather than carried from the ranking pass: every failed
+	// attempt in between rolled back exactly, so the list is the same.
+	sc.blockers = r.appendBlockers(sc.blockers[:0], m, ref)
+	sc.done = sc.done[:0]
+	for _, b := range sc.blockers {
 		if err := r.unplace(b, m); err != nil {
-			return false, rollback()
+			return false, r.undoMoves("migration")
 		}
-		dest := r.search.findMachine(b, exclusion{machine: m})
+		dest := r.relocationFor(b, m)
 		if dest == topology.Invalid {
 			// Put the blocker back and abandon this machine.
 			if err := r.place(b, m); err != nil {
 				return false, r.corrupt("migration restore blocker", err)
 			}
-			return false, rollback()
+			return false, r.undoMoves("migration")
 		}
 		if err := r.place(b, dest); err != nil {
 			if perr := r.place(b, m); perr != nil {
 				return false, r.corrupt("migration restore blocker after failed move", perr)
 			}
-			return false, rollback()
+			return false, r.undoMoves("migration")
 		}
-		done = append(done, move{c: b, from: m, to: dest})
+		sc.done = append(sc.done, rescueMove{c: b, from: m, to: dest})
 	}
-	if !r.blacklist.Allows(m, c) || !r.cluster.Machine(m).Fits(c.Demand) {
-		return false, rollback()
+	if !r.blacklist.AllowsRef(m, ref) || !r.cluster.Machine(m).Fits(c.Demand) {
+		return false, r.undoMoves("migration")
 	}
 	if err := r.place(c, m); err != nil {
-		return false, rollback()
+		return false, r.undoMoves("migration")
 	}
+	r.commitMoves(c, "migration")
+	return true, nil
+}
+
+// rescueScratch is the rescue paths' working memory, reused across
+// calls the way the searcher reuses its visitor state: candidate
+// ranking, blocker, mover and victim lists, the undo log of the
+// attempt in flight and the relocation memo.  Each rescue call starts
+// it over (only the victims handed back by tryPreemption outlive
+// theirs, until the next one), and none of it grows with cluster size.
+type rescueScratch struct {
+	top      topK
+	blockers []*workload.Container
+	movers   []*workload.Container
+	victims  []*workload.Container
+	// done logs the moves of the attempt in flight, in order, for
+	// rollback; empty means the cluster is in the state the rescue
+	// call started from (bar the one container just lifted).
+	done []rescueMove
+	memo map[classKey]relocation
+	// check, set only by tests, receives every memoised relocation
+	// next to a fresh search's answer for the same question.
+	check func(b *workload.Container, m, memoised, fresh topology.MachineID)
+}
+
+// rescueMove is one relocation of a rescue attempt.
+type rescueMove struct {
+	c        *workload.Container
+	from, to topology.MachineID
+}
+
+// rankEntry orders rescue candidates: smaller key first, ties by
+// machine ID.  A machine is offered once, so the order is total.
+type rankEntry struct {
+	key int64
+	m   topology.MachineID
+}
+
+func (a rankEntry) before(b rankEntry) bool {
+	return a.key < b.key || (a.key == b.key && a.m < b.m)
+}
+
+// topK keeps the k first entries, in order, of everything offered —
+// what sorting all candidates and truncating to the attempt cap
+// selects, without a slice that grows with the cluster.
+type topK struct {
+	n, k int
+	e    [maxMigrationAttempts]rankEntry
+}
+
+func (t *topK) reset(k int) { t.n, t.k = 0, k }
+
+// admits reports whether e would enter the selection.
+func (t *topK) admits(e rankEntry) bool {
+	return t.n < t.k || e.before(t.e[t.n-1])
+}
+
+// offer inserts e at its rank, dropping the last entry when full.
+func (t *topK) offer(e rankEntry) {
+	if !t.admits(e) {
+		return
+	}
+	if t.n < t.k {
+		t.n++
+	}
+	i := t.n - 1
+	for ; i > 0 && e.before(t.e[i-1]); i-- {
+		t.e[i] = t.e[i-1]
+	}
+	t.e[i] = e
+}
+
+// relocation is one remembered relocation search: dest is what
+// findMachine returned for the class with machine excluded shut out.
+type relocation struct {
+	excluded, dest topology.MachineID
+}
+
+// relocationFor answers findMachine(b, exclusion{machine: m}) for a
+// container b just lifted off machine m, from the class memo when it
+// can.
+//
+// Soundness.  place/unplace are exact inverses on every view a search
+// reads (machine allocation, blacklist counters, index leaves), and a
+// failed attempt undoes its moves in reverse, so every attempt of one
+// tryMigrationInner/tryDefragInner call starts from the same state S
+// — a successful attempt ends the call, and the memo is cleared at
+// each call's start.  While the attempt has no move outstanding, b
+// is the only displaced container and its machine m is excluded, so
+// the search sees exactly S minus m, and its answer depends on b only
+// through (app ref, demand): the class.  Let the memo hold dest0 =
+// best of S minus m0 for that class.  For m ≠ m0 the candidate sets
+// differ by two machines: S minus m = (S minus m0 minus m) plus m0.
+// If dest0 ≠ m, dest0 is still the best of the first part, so the
+// answer is whichever of dest0 and m0 the search prefers, m0
+// counting only if it admits the class now (it is in state S: the
+// container lifted off it was put back).  If dest0 == m the first
+// part has lost its best and only a real search can rank the rest.
+// Once a move is outstanding the state is no longer S and every
+// lookup is a real search.
+func (r *run) relocationFor(b *workload.Container, m topology.MachineID) topology.MachineID {
+	sc := &r.rescue
+	if len(sc.done) > 0 {
+		return r.search.findMachine(b, exclusion{machine: m})
+	}
+	ref := r.search.refOf(b)
+	key := classKey{app: int(ref), demand: b.Demand}
+	prev, ok := sc.memo[key]
+	if !ok || prev.dest == m {
+		dest := r.search.findMachine(b, exclusion{machine: m})
+		sc.memo[key] = relocation{excluded: m, dest: dest}
+		return dest
+	}
+	dest := prev.dest
+	if m0 := prev.excluded; m0 != m && r.search.admits(m0, b.Demand, ref) &&
+		(dest == topology.Invalid || r.search.prefers(m0, dest)) {
+		dest = m0
+	}
+	r.met.relocMemoHits.Inc()
+	if sc.check != nil {
+		sc.check(b, m, dest, r.search.findMachine(b, exclusion{machine: m}))
+	}
+	return dest
+}
+
+// undoMoves rolls the attempt in flight back, newest move first.
+func (r *run) undoMoves(what string) error {
+	done := r.rescue.done
+	for i := len(done) - 1; i >= 0; i-- {
+		mv := done[i]
+		if err := r.unplace(mv.c, mv.to); err != nil {
+			return r.corrupt(what+" rollback unplace", err)
+		}
+		if err := r.place(mv.c, mv.from); err != nil {
+			return r.corrupt(what+" rollback replace", err)
+		}
+	}
+	return nil
+}
+
+// commitMoves books the attempt in flight as landed: its moves count
+// as migrations made to admit c.
+func (r *run) commitMoves(c *workload.Container, detail string) {
+	done := r.rescue.done
 	r.migrations += len(done)
 	r.met.migrations.Add(int64(len(done)))
 	for _, mv := range done {
-		r.trc.Emit(obs.Event{Kind: obs.EvMigrate, Container: c.ID, Victim: mv.c.ID, Machine: int64(mv.to), Detail: "migration"})
+		r.trc.Emit(obs.Event{Kind: obs.EvMigrate, Container: c.ID, Victim: mv.c.ID, Machine: int64(mv.to), Detail: detail})
 	}
-	return true, nil
 }
 
 // enforceGangs applies all-or-nothing application semantics: every
@@ -560,7 +685,7 @@ func (r *run) consolidateBudget(budget int) (moves int, more bool, err error) {
 	// so later passes skip it until some drain lands.
 	epoch := 0
 	failedAt := make(map[topology.MachineID]int)
-	memo := make(map[drainKey]topology.MachineID)
+	memo := make(map[classKey]topology.MachineID)
 	for pass := 0; pass < 2; pass++ {
 		// Lightest machines first: cheapest to drain.
 		type lm struct {
@@ -639,10 +764,11 @@ func (r *run) drainCouldFit(m topology.MachineID) bool {
 	return used.Fits(free)
 }
 
-// drainKey classifies a resident for the drain feasibility precheck:
-// two containers of the same app with the same demand see identical
-// search outcomes, so one lookup answers for the whole class.
-type drainKey struct {
+// classKey classifies a container for memoised searches (the drain
+// feasibility precheck, the rescue relocation memo): two containers
+// of the same app with the same demand see identical search outcomes,
+// so one lookup answers for the whole class.
+type classKey struct {
 	app    int
 	demand resource.Vector
 }
@@ -651,7 +777,7 @@ type drainKey struct {
 // used machines; returns whether the machine was emptied.  A non-nil
 // error means a rollback or restore step itself failed and the
 // scheduler state is corrupt.
-func (r *run) drain(m topology.MachineID, memo map[drainKey]topology.MachineID) (bool, error) {
+func (r *run) drain(m topology.MachineID, memo map[classKey]topology.MachineID) (bool, error) {
 	machine := r.cluster.Machine(m)
 	all := r.w.Containers()
 	if machine.NumContainers() != len(r.residents[m]) {
@@ -675,7 +801,7 @@ func (r *run) drain(m topology.MachineID, memo map[drainKey]topology.MachineID) 
 	// feasibility for this drain too, and an Invalid result rules the
 	// class out everywhere until the next successful drain.
 	for _, c := range cs {
-		key := drainKey{app: int(r.search.refOf(c)), demand: c.Demand}
+		key := classKey{app: int(r.search.refOf(c)), demand: c.Demand}
 		dest, ok := memo[key]
 		if !ok {
 			dest = r.search.findMachine(c, exclusion{skipEmpty: true})
@@ -749,8 +875,6 @@ func (r *run) drain(m topology.MachineID, memo map[drainKey]topology.MachineID) 
 // the worst complexity" mechanism of §IV.D.  Its latency lands in the
 // migration histogram: defragmentation is the same relocate-to-admit
 // rescue, differing only in what blocks the claimant.
-//
-//aladdin:hotpath-stop rescue path: defragmentation is rare and allocates for target ranking by design
 func (r *run) tryDefrag(c *workload.Container) (bool, error) {
 	if !r.met.on {
 		return r.tryDefragInner(c)
@@ -762,36 +886,25 @@ func (r *run) tryDefrag(c *workload.Container) (bool, error) {
 }
 
 func (r *run) tryDefragInner(c *workload.Container) (bool, error) {
-	type target struct {
-		m    topology.MachineID
-		free int64
-	}
-	var targets []target
+	ref := r.search.refOf(c)
+	sc := &r.rescue
+	sc.top.reset(maxDefragAttempts)
 	for _, m := range r.cluster.Machines() {
-		if !m.Up() {
+		if !m.Up() || !c.Demand.Fits(m.Capacity()) {
 			continue
 		}
-		if !c.Demand.Fits(m.Capacity()) {
-			continue
+		// Most free space first: fewest containers to move.  The rank
+		// cut-off is two integer compares, so it runs before the
+		// blacklist probe; once the selection is full almost every
+		// machine stops there.
+		e := rankEntry{key: -m.Free().Dim(resource.CPU), m: m.ID}
+		if sc.top.admits(e) && r.blacklist.AllowsRef(m.ID, ref) {
+			sc.top.offer(e)
 		}
-		if !r.blacklist.Allows(m.ID, c) {
-			continue
-		}
-		targets = append(targets, target{m: m.ID, free: m.Free().Dim(resource.CPU)})
 	}
-	// Most free space first: fewest containers to move.
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].free != targets[j].free {
-			return targets[i].free > targets[j].free
-		}
-		return targets[i].m < targets[j].m
-	})
-	const maxAttempts = 16
-	for i, tg := range targets {
-		if i >= maxAttempts {
-			break
-		}
-		if ok, err := r.defragInto(tg.m, c); err != nil {
+	clear(sc.memo)
+	for _, e := range sc.top.e[:sc.top.n] {
+		if ok, err := r.defragInto(e.m, c, ref); err != nil {
 			return false, err
 		} else if ok {
 			return true, nil
@@ -804,55 +917,34 @@ func (r *run) tryDefragInner(c *workload.Container) (bool, error) {
 // fits, then places c; everything rolls back on failure.  A non-nil
 // error means a rollback or restore step itself failed and the
 // scheduler state is corrupt.
-func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, error) {
+func (r *run) defragInto(m topology.MachineID, c *workload.Container, ref constraint.AppRef) (bool, error) {
 	machine := r.cluster.Machine(m)
 	// Choose movers: smallest CPU first, skip nothing else — the
 	// relocation search enforces their constraints at the new homes.
 	// Unknown pre-placed residents are simply immovable furniture.
 	all := r.w.Containers()
-	var movers []*workload.Container
+	sc := &r.rescue
+	sc.movers = sc.movers[:0]
 	for _, ord := range r.residents[m] {
-		movers = append(movers, all[ord])
+		sc.movers = append(sc.movers, all[ord])
 	}
-	sort.Slice(movers, func(i, j int) bool {
-		di, dj := movers[i].Demand.Dim(resource.CPU), movers[j].Demand.Dim(resource.CPU)
-		if di != dj {
-			return di < dj
-		}
-		return movers[i].ID < movers[j].ID
-	})
-	type move struct {
-		c        *workload.Container
-		from, to topology.MachineID
-	}
-	var done []move
-	rollback := func() error {
-		for i := len(done) - 1; i >= 0; i-- {
-			mv := done[i]
-			if err := r.unplace(mv.c, mv.to); err != nil {
-				return r.corrupt("defrag rollback unplace", err)
-			}
-			if err := r.place(mv.c, mv.from); err != nil {
-				return r.corrupt("defrag rollback replace", err)
-			}
-		}
-		return nil
-	}
+	sortMovers(sc.movers)
+	sc.done = sc.done[:0]
 	maxMoves := 4
 	if rem := r.movesRemaining(); rem < maxMoves {
 		maxMoves = rem // rescue-move budget binds tighter
 	}
-	for _, mv := range movers {
+	for _, mv := range sc.movers {
 		if c.Demand.Fits(machine.Free()) {
 			break
 		}
-		if len(done) >= maxMoves {
+		if len(sc.done) >= maxMoves {
 			break
 		}
 		if err := r.unplace(mv, m); err != nil {
-			return false, rollback()
+			return false, r.undoMoves("defrag")
 		}
-		dest := r.search.findMachine(mv, exclusion{machine: m})
+		dest := r.relocationFor(mv, m)
 		if dest == topology.Invalid {
 			if err := r.place(mv, m); err != nil {
 				return false, r.corrupt("defrag restore", err)
@@ -865,20 +957,31 @@ func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, err
 			}
 			continue
 		}
-		done = append(done, move{c: mv, from: m, to: dest})
+		sc.done = append(sc.done, rescueMove{c: mv, from: m, to: dest})
 	}
-	if !c.Demand.Fits(machine.Free()) || !r.blacklist.Allows(m, c) {
-		return false, rollback()
+	if !c.Demand.Fits(machine.Free()) || !r.blacklist.AllowsRef(m, ref) {
+		return false, r.undoMoves("defrag")
 	}
 	if err := r.place(c, m); err != nil {
-		return false, rollback()
+		return false, r.undoMoves("defrag")
 	}
-	r.migrations += len(done)
-	r.met.migrations.Add(int64(len(done)))
-	for _, mv := range done {
-		r.trc.Emit(obs.Event{Kind: obs.EvMigrate, Container: c.ID, Victim: mv.c.ID, Machine: int64(mv.to), Detail: "defrag"})
-	}
+	r.commitMoves(c, "defrag")
 	return true, nil
+}
+
+// sortMovers orders defragmentation's movers smallest CPU first, ties
+// by container ID.  Insertion sort: a machine's resident list is short.
+func sortMovers(ms []*workload.Container) {
+	for i := 1; i < len(ms); i++ {
+		for j := i; j > 0; j-- {
+			a, b := ms[j-1], ms[j]
+			da, db := a.Demand.Dim(resource.CPU), b.Demand.Dim(resource.CPU)
+			if da < db || (da == db && a.ID < b.ID) {
+				break
+			}
+			ms[j-1], ms[j] = b, a
+		}
+	}
 }
 
 // tryPreemption evicts strictly-lower-priority containers to free
@@ -886,9 +989,8 @@ func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, err
 // container's placement dominates; the evicted victims re-queue).
 // Returns the victims to requeue and whether preemption succeeded; a
 // non-nil error means an eviction or restore step failed and the
-// scheduler state is corrupt.
-//
-//aladdin:hotpath-stop rescue path: preemption is rare and allocates its victim sets by design
+// scheduler state is corrupt.  The victims slice is run scratch, valid
+// until the next tryPreemption: callers copy it into their queue.
 func (r *run) tryPreemption(c *workload.Container) ([]*workload.Container, bool, error) {
 	if !r.met.on {
 		return r.tryPreemptionInner(c)
@@ -903,87 +1005,73 @@ func (r *run) tryPreemptionInner(c *workload.Container) ([]*workload.Container, 
 	if !r.opts.DisableWeights && c.Priority <= workload.PriorityLow {
 		return nil, false, nil
 	}
+	ref := r.search.refOf(c)
 	for _, gname := range r.cluster.SubClusters() {
 		for _, rname := range r.cluster.SubCluster(gname).Racks {
 			for _, mid := range r.cluster.Rack(rname).Machines {
 				machine := r.cluster.Machine(mid)
-				if !machine.Up() {
+				if !machine.Up() || !c.Demand.Fits(machine.Capacity()) || !r.blacklist.AllowsRef(mid, ref) {
 					continue
 				}
-				if !c.Demand.Fits(machine.Capacity()) {
-					continue
+				victims, ok := r.pickVictims(mid, c)
+				if !ok || len(victims) > r.movesRemaining() {
+					continue // no evictable set, or over the rescue-move budget
 				}
-				if !r.blacklist.Allows(mid, c) {
-					continue
-				}
-				victims := r.pickVictims(mid, c)
-				if victims == nil {
-					continue
-				}
-				// Evict victims that have requeue budget left.
-				for _, v := range victims {
-					if r.requeues[v.Ord] >= r.opts.maxRequeues() {
-						victims = nil
-						break
-					}
-				}
-				if victims == nil {
-					continue
-				}
-				if len(victims) > r.movesRemaining() {
-					continue // over the rescue-move budget
-				}
-				for _, v := range victims {
-					if err := r.unplace(v, mid); err != nil {
-						return nil, false, r.corrupt("preemption evict", err)
-					}
-					r.preemptLog = append(r.preemptLog, preemptEvent{claimant: c, victim: v, machine: mid})
-					r.requeues[v.Ord]++
-					if v.Priority >= c.Priority {
-						// Only reachable with DisableWeights: a
-						// priority inversion the weighted flow would
-						// have prevented.
-						r.inversions = append(r.inversions, constraint.Violation{
-							Kind: constraint.PriorityInversion, Machine: mid,
-							ContainerA: c.ID, ContainerB: v.ID,
-						})
-					}
-				}
-				if err := r.place(c, mid); err != nil {
-					// Should not happen: we just freed enough.
-					for _, v := range victims {
-						if perr := r.place(v, mid); perr != nil {
-							return nil, false, r.corrupt("preemption restore victim", perr)
-						}
-					}
-					return nil, false, nil
-				}
-				r.preempts += len(victims)
-				r.met.preemptions.Add(int64(len(victims)))
-				for _, v := range victims {
-					r.trc.Emit(obs.Event{Kind: obs.EvPreempt, Container: c.ID, Victim: v.ID, Machine: int64(mid)})
-				}
-				return victims, true, nil
+				return r.evict(victims, mid, c)
 			}
 		}
 	}
 	return nil, false, nil
 }
 
+// evict displaces the chosen victims from machine m and places c
+// there, recording each eviction for the auditor.
+func (r *run) evict(victims []*workload.Container, m topology.MachineID, c *workload.Container) ([]*workload.Container, bool, error) {
+	for _, v := range victims {
+		if err := r.unplace(v, m); err != nil {
+			return nil, false, r.corrupt("preemption evict", err)
+		}
+		r.preemptLog = append(r.preemptLog, preemptEvent{claimant: c, victim: v, machine: m})
+		r.requeues[v.Ord]++
+		if v.Priority >= c.Priority {
+			// Only reachable with DisableWeights: a priority inversion
+			// the weighted flow would have prevented.
+			r.inversions = append(r.inversions, constraint.Violation{
+				Kind: constraint.PriorityInversion, Machine: m,
+				ContainerA: c.ID, ContainerB: v.ID,
+			})
+		}
+	}
+	if err := r.place(c, m); err != nil {
+		// Should not happen: we just freed enough.
+		for _, v := range victims {
+			if perr := r.place(v, m); perr != nil {
+				return nil, false, r.corrupt("preemption restore victim", perr)
+			}
+		}
+		return nil, false, nil
+	}
+	r.preempts += len(victims)
+	r.met.preemptions.Add(int64(len(victims)))
+	for _, v := range victims {
+		r.trc.Emit(obs.Event{Kind: obs.EvPreempt, Container: c.ID, Victim: v.ID, Machine: int64(m)})
+	}
+	return victims, true, nil
+}
+
 // pickVictims chooses the smallest set of strictly-lower-priority
-// containers on machine m whose eviction makes c fit, or nil when no
-// such set exists.  Victims must also not be blacklist-relevant in a
-// way that would keep c blocked (the blacklist check already passed,
-// so only resources matter here).
-func (r *run) pickVictims(m topology.MachineID, c *workload.Container) []*workload.Container {
-	machine := r.cluster.Machine(m)
-	free := machine.Free()
+// containers on machine m whose eviction makes c fit and that all have
+// requeue budget left; ok is false when no such set exists.  The
+// blacklist check already passed, so only resources matter here.  The
+// set aliases run scratch and may be empty (c fits as things stand).
+func (r *run) pickVictims(m topology.MachineID, c *workload.Container) (victims []*workload.Container, ok bool) {
+	free := r.cluster.Machine(m).Free()
+	lower := r.rescue.victims[:0]
 	if c.Demand.Fits(free) {
 		// No preemption needed; caller's direct search should have
 		// found it, but state may have changed.
-		return []*workload.Container{}
+		return lower, true
 	}
-	var lower []*workload.Container
 	cs := r.w.Containers()
 	for _, ord := range r.residents[m] {
 		other := cs[ord]
@@ -996,18 +1084,20 @@ func (r *run) pickVictims(m topology.MachineID, c *workload.Container) []*worklo
 			lower = append(lower, other)
 		}
 	}
+	r.rescue.victims = lower
 	// Evict lowest priority first, largest demand first within a
-	// class, until c fits.
+	// class, until c fits; the chosen set is a prefix of that order.
 	sortVictims(lower)
-	var chosen []*workload.Container
-	for _, v := range lower {
+	for i, v := range lower {
+		if r.requeues[v.Ord] >= r.opts.maxRequeues() {
+			return nil, false
+		}
 		free = free.Add(v.Demand)
-		chosen = append(chosen, v)
 		if c.Demand.Fits(free) {
-			return chosen
+			return lower[:i+1], true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // evictable reports whether victim may be displaced by claimant under

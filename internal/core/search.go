@@ -488,6 +488,26 @@ func (v *admitState) visit(mid topology.MachineID) bool {
 	return v.s.blacklist.AllowsRef(mid, v.ref)
 }
 
+// admits reports whether machine mid would pass an unrestricted
+// search's leaf check for (demand, ref) as things stand.
+func (s *searcher) admits(mid topology.MachineID, demand resource.Vector, ref constraint.AppRef) bool {
+	return s.cluster.Machine(mid).Fits(demand) && s.blacklist.AllowsRef(mid, ref)
+}
+
+// prefers reports whether findMachine, with both a and b admitting,
+// returns a rather than b: the earlier machine in tier-traversal
+// order under DL's first-fit, the smaller (free CPU, machine ID)
+// under the exhaustive best-fit — leftover CPU after one demand
+// orders machines as free CPU does.
+func (s *searcher) prefers(a, b topology.MachineID) bool {
+	if s.opts.DepthLimiting {
+		return s.agg.idx.tr.Pos[a] < s.agg.idx.tr.Pos[b]
+	}
+	fa := s.cluster.Machine(a).Free().Dim(resource.CPU)
+	fb := s.cluster.Machine(b).Free().Dim(resource.CPU)
+	return fa < fb || (fa == fb && a < b)
+}
+
 // fitState is admitState without the blacklist: resource-only
 // admission for migration's candidate enumeration.
 type fitState struct {
@@ -643,6 +663,7 @@ func (s *searcher) findResourceFits(c *workload.Container, excl exclusion, limit
 		s.shardExplored[i] = 0
 		s.shardFits[i] = s.shardFits[i][:0]
 	}
+	//aladdin:hotalloc-ok one closure per migration rescue's candidate sweep, amortized over the sub-cluster fan-out; small clusters take the serial path above
 	parallel.ForEach(len(s.agg.subNames), 0, func(i int) {
 		span := idx.tr.SubSpan[s.agg.subNames[i]]
 		s.shardFitState[i] = fitState{s: s, demand: c.Demand, excl: excl, explored: &s.shardExplored[i]}

@@ -13,11 +13,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -248,24 +250,51 @@ type clusterSample struct {
 	hi       float64
 }
 
+// liveClusters returns the topology copies that hold the tenant's live
+// allocations: the tenant's own cluster when unsharded, the per-shard
+// copies when sharded (the cluster a sharded core was built from stays
+// empty — reading it reports a cluster nobody placed on).
+func (t *Tenant) liveClusters() []*topology.Cluster {
+	if ss, ok := t.sched.(*core.ShardedSession); ok {
+		return ss.ShardClusters()
+	}
+	return []*topology.Cluster{t.cluster}
+}
+
 // sample reads one tenant's cluster summary under its read lock.
 func (t *Tenant) sample() clusterSample {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	lo, mean, hi := t.cluster.UtilizationRange()
-	totalUsed := t.cluster.TotalUsed()
-	return clusterSample{
+	cs := clusterSample{
 		tenant:   t.name,
 		machines: t.cluster.Size(),
-		used:     t.cluster.UsedMachines(),
-		down:     t.cluster.DownMachines(),
 		placed:   len(t.sched.Assignment()),
-		cpu:      totalUsed.Dim(resource.CPU),
-		mem:      totalUsed.Dim(resource.Memory),
-		lo:       lo,
-		mean:     mean,
-		hi:       hi,
+		lo:       1,
 	}
+	var total resource.Vector
+	for _, cl := range t.liveClusters() {
+		for _, m := range cl.Machines() {
+			if !m.Up() {
+				cs.down++
+			}
+			total = total.Add(m.Used())
+			if m.NumContainers() == 0 {
+				continue
+			}
+			cs.used++
+			u := m.CPUUtilization()
+			cs.lo = math.Min(cs.lo, u)
+			cs.hi = math.Max(cs.hi, u)
+			cs.mean += u
+		}
+	}
+	cs.cpu, cs.mem = total.Dim(resource.CPU), total.Dim(resource.Memory)
+	if cs.used == 0 {
+		cs.lo = 0
+	} else {
+		cs.mean /= float64(cs.used)
+	}
+	return cs
 }
 
 // handleMetrics renders Prometheus text exposition (format 0.0.4):
@@ -403,7 +432,34 @@ func (s *Server) handleAssignments(w http.ResponseWriter, _ *http.Request, t *Te
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Container < out[j].Container })
-	writeJSON(w, out)
+	w.Header().Set("Content-Type", "application/json")
+	writeAssignments(w, out) //aladdin:errcheck-ok rows of strings and one integer always marshal; what is left is the client's connection, as for every w.Write here
+}
+
+// writeAssignments streams the rows as the JSON array json.Encoder
+// with SetIndent("", "  ") would produce, byte for byte, one small
+// marshal per row.  The full-cluster reply is ~10 MB; building it in
+// one buffer (writeJSONStatus) leaves a buffer that size in
+// encoding/json's encodeState pool, where every later small reply
+// keeps it alive — resident memory that tracks the GC goal, not use.
+func writeAssignments(w io.Writer, rows []assignmentEntry) error {
+	bw := bufio.NewWriter(w)
+	if len(rows) == 0 {
+		bw.WriteString("[]\n")
+		return bw.Flush()
+	}
+	sep := "[\n  "
+	for i := range rows {
+		row, err := json.MarshalIndent(&rows[i], "  ", "  ")
+		if err != nil {
+			return err
+		}
+		bw.WriteString(sep)
+		bw.Write(row)
+		sep = ",\n  "
+	}
+	bw.WriteString("\n]\n")
+	return bw.Flush()
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t *Tenant) {

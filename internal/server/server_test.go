@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -243,6 +244,50 @@ func TestPlacePartialResultSurfaced(t *testing.T) {
 	if pr.Placed != 1 || len(pr.Undeployed) != 1 {
 		t.Errorf("partial place response = %+v, want 1 placed / 1 undeployed", pr)
 	}
+}
+
+// TestAssignmentsStreamMatchesEncoder: the streamed /assignments body
+// is, byte for byte, what the buffered json.Encoder with
+// SetIndent("", "  ") wrote before — for no rows, one row and many,
+// including strings the encoder escapes.
+func TestAssignmentsStreamMatchesEncoder(t *testing.T) {
+	many := make([]assignmentEntry, 300)
+	for i := range many {
+		many[i] = assignmentEntry{
+			Container: fmt.Sprintf("app-%03d/%d", i/7, i%7), Machine: topology.MachineID(i * 13 % 97),
+			MachineID: fmt.Sprintf("machine-%05d", i*13%97), Rack: fmt.Sprintf("rack-%04d", i%11),
+		}
+	}
+	many[17].Container = `a<b>&"c"\é/0`
+	for _, rows := range [][]assignmentEntry{{}, many[:1], many} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rows); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := writeAssignments(&got, rows); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d rows: streamed body differs from json.Encoder output\nstreamed: %q\nencoder:  %q",
+				len(rows), truncate(got.String()), truncate(want.String()))
+		}
+	}
+	// Through the handler: the empty tenant still prints [].
+	s, _ := testServer(t)
+	rec := do(t, s, http.MethodGet, "/assignments", "")
+	if rec.Code != http.StatusOK || rec.Body.String() != "[]\n" || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("empty /assignments = %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+}
+
+func truncate(s string) string {
+	if len(s) > 400 {
+		return s[:400] + "…"
+	}
+	return s
 }
 
 func TestWriteJSONEncodeErrorIsClean500(t *testing.T) {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -134,5 +136,55 @@ func TestTenantSharded(t *testing.T) {
 	}
 	if rec := do(t, s, http.MethodGet, "/t/wide/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("sharded healthz = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestShardedTenantClusterSample: the scrape-time cluster summary of a
+// sharded tenant comes from the shard clusters that hold its
+// allocations.  It used to read the cluster the sharded core was built
+// from, which stays empty, so aladdin_machines_used and /debug/vars
+// machines_used (and the allocation and utilization fields beside
+// them) reported 0 whatever was placed.
+func TestShardedTenantClusterSample(t *testing.T) {
+	s, _ := testServer(t)
+	// 4,000 machines: four sub-clusters, so four real shards.
+	rec := do(t, s, http.MethodPost, "/tenants", `{"name":"wide","machines":4000,"shards":4}`)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/place", `{"containers":["web/0","web/1","db/0"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("sharded place = %d: %s", rec.Code, rec.Body)
+	}
+	var asg []assignmentEntry
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/t/wide/assignments", "").Body.Bytes(), &asg); err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]bool{}
+	for _, a := range asg {
+		hosts[a.MachineID] = true
+	}
+	if len(asg) != 3 || len(hosts) != 3 {
+		t.Fatalf("assignments = %+v, want 3 containers on 3 machines (web spreads, db avoids web)", asg)
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/fail", fmt.Sprintf(`{"machine":%d}`, 3999)); rec.Code != http.StatusOK {
+		t.Fatalf("fail = %d: %s", rec.Code, rec.Body)
+	}
+
+	var vars varsResponse
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/debug/vars", "").Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	got := vars.Tenants["wide"]
+	want := clusterVars{
+		Machines: 4000, MachinesUsed: 3, MachinesDown: 1, ContainersPlaced: 3,
+		CPUMilli: 4000 + 4000 + 8000, MemMB: 8192 + 8192 + 16384,
+		UtilizationMin: 4.0 / 32, UtilizationMean: (4.0 + 4.0 + 8.0) / 32 / 3, UtilizationMax: 8.0 / 32,
+	}
+	if got != want {
+		t.Errorf("/debug/vars wide = %+v, want %+v", got, want)
+	}
+	body := do(t, s, http.MethodGet, "/metrics", "").Body.String()
+	if line := `aladdin_machines_used{tenant="wide"} 3`; !strings.Contains(body, line) {
+		t.Errorf("/metrics lacks %q", line)
 	}
 }
