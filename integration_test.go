@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"aladdin/internal/constraint"
 	"aladdin/internal/core"
@@ -12,6 +11,7 @@ import (
 	"aladdin/internal/gokube"
 	"aladdin/internal/kubesim"
 	"aladdin/internal/medea"
+	"aladdin/internal/quickseed"
 	"aladdin/internal/resource"
 	"aladdin/internal/sched"
 	"aladdin/internal/sim"
@@ -123,9 +123,7 @@ func TestAladdinNeverViolatesProperty(t *testing.T) {
 		s := res.ViolationSummary()
 		return s.Total() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 60)
 }
 
 // TestNoSchedulerOverallocatesProperty: no scheduler may ever leave a
@@ -153,9 +151,7 @@ func TestNoSchedulerOverallocatesProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 25)
 }
 
 // randomApps builds a small random workload with a mix of priorities

@@ -8,182 +8,19 @@
 // CM/MM split also implies: the scheduler manager snapshots only the
 // assignment state).
 //
-// Two formats exist.  The v1 Snapshot (Capture/Restore) is the legacy
-// cluster-level format: homogeneous capacities only, no machine
-// availability, no session ledgers — readable but no longer written
-// by anything in this repo.  The v2 SessionSnapshot
-// (CaptureSession/SessionSnapshot.Restore) is the warm-restart
-// format: per-machine capacities and down state, the session's
-// undeployed and requeue ledgers, a layout block that is validated —
-// never defaulted — on restore, a content checksum, and atomic
-// write-temp-then-rename persistence (WriteFile).
+// SessionSnapshot (CaptureSession/SessionSnapshot.Restore) is the
+// warm-restart format, version 2: per-machine capacities and down
+// state, the session's undeployed and requeue ledgers, a layout block
+// that is validated — never defaulted — on restore, a content
+// checksum, and atomic write-temp-then-rename persistence (WriteFile).
+// Version 1 (a cluster-level format without availability or ledgers)
+// is no longer read: ReadSession rejects it by version.
 package checkpoint
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-
-	"aladdin/internal/constraint"
-	"aladdin/internal/resource"
-	"aladdin/internal/topology"
-	"aladdin/internal/workload"
-)
-
-// FormatVersion identifies the snapshot schema.
-const FormatVersion = 1
-
-// Snapshot is the serialised form of a scheduling state.
-type Snapshot struct {
-	Version int `json:"version"`
-	// Cluster layout.
-	Machines        int   `json:"machines"`
-	MachinesPerRack int   `json:"machines_per_rack"`
-	RacksPerCluster int   `json:"racks_per_cluster"`
-	CapacityCPU     int64 `json:"capacity_cpu_milli"`
-	CapacityMem     int64 `json:"capacity_mem_mb"`
-	// Placements, sorted by container ID for determinism.
-	Placements []Placement `json:"placements"`
-}
+import "aladdin/internal/topology"
 
 // Placement is one container→machine binding.
 type Placement struct {
 	Container string             `json:"container"`
 	Machine   topology.MachineID `json:"machine"`
-}
-
-// Capture snapshots a homogeneous cluster and an assignment.  The
-// cluster's layout parameters are recovered from its structure.
-//
-// The v1 format cannot record machine availability, so capturing a
-// cluster with any machine down is refused outright: restoring such a
-// snapshot would bring every machine back up and silently resurrect
-// failed hardware.  Use CaptureSession (the v2 format) instead.
-func Capture(cluster *topology.Cluster, asg constraint.Assignment) (*Snapshot, error) {
-	if cluster.Size() == 0 {
-		return nil, fmt.Errorf("checkpoint: empty cluster")
-	}
-	m0 := cluster.Machine(0)
-	// Homogeneity check: the v1 format stores one capacity.
-	for _, m := range cluster.Machines() {
-		if m.Capacity() != m0.Capacity() {
-			return nil, fmt.Errorf("checkpoint: v%d format requires a homogeneous cluster (machine %s differs)",
-				FormatVersion, m.Name)
-		}
-		if !m.Up() {
-			return nil, fmt.Errorf("checkpoint: v%d format cannot record down machine %s; use CaptureSession",
-				FormatVersion, m.Name)
-		}
-	}
-	snap := &Snapshot{
-		Version:         FormatVersion,
-		Machines:        cluster.Size(),
-		MachinesPerRack: len(cluster.Rack(m0.Rack).Machines),
-		RacksPerCluster: len(cluster.SubCluster(m0.Cluster).Racks),
-		CapacityCPU:     m0.Capacity().Dim(resource.CPU),
-		CapacityMem:     m0.Capacity().Dim(resource.Memory),
-	}
-	for id, machine := range asg {
-		if cluster.Machine(machine) == nil {
-			return nil, fmt.Errorf("checkpoint: assignment references unknown machine %d", machine)
-		}
-		if !cluster.Machine(machine).Hosts(id) {
-			return nil, fmt.Errorf("checkpoint: container %s not hosted on machine %d", id, machine)
-		}
-		snap.Placements = append(snap.Placements, Placement{Container: id, Machine: machine})
-	}
-	sort.Slice(snap.Placements, func(i, j int) bool {
-		return snap.Placements[i].Container < snap.Placements[j].Container
-	})
-	return snap, nil
-}
-
-// Write serialises the snapshot as indented JSON.
-func (s *Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	return nil
-}
-
-// Read parses a snapshot.
-func Read(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
-	}
-	if s.Version != FormatVersion {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", s.Version, FormatVersion)
-	}
-	if s.Machines <= 0 {
-		return nil, fmt.Errorf("checkpoint: invalid machine count %d", s.Machines)
-	}
-	// Layout parameters feed topology.New, which silently substitutes
-	// defaults for non-positive values — a snapshot with a zeroed
-	// layout would restore onto a topology with different rack
-	// boundaries and different anti-affinity semantics.  Reject here.
-	if s.MachinesPerRack <= 0 {
-		return nil, fmt.Errorf("checkpoint: invalid machines_per_rack %d", s.MachinesPerRack)
-	}
-	if s.RacksPerCluster <= 0 {
-		return nil, fmt.Errorf("checkpoint: invalid racks_per_cluster %d", s.RacksPerCluster)
-	}
-	if s.CapacityCPU <= 0 || s.CapacityMem <= 0 {
-		return nil, fmt.Errorf("checkpoint: invalid machine capacity (%d CPU milli, %d mem MB)",
-			s.CapacityCPU, s.CapacityMem)
-	}
-	seen := make(map[string]bool, len(s.Placements))
-	for _, p := range s.Placements {
-		if p.Container == "" {
-			return nil, fmt.Errorf("checkpoint: placement with empty container ID")
-		}
-		if seen[p.Container] {
-			return nil, fmt.Errorf("checkpoint: duplicate placement for container %s", p.Container)
-		}
-		seen[p.Container] = true
-	}
-	return &s, nil
-}
-
-// Restore rebuilds the cluster and re-applies every placement using
-// the workload for container demands.  Containers unknown to the
-// workload fail the restore (the snapshot and trace must match).
-func (s *Snapshot) Restore(w *workload.Workload) (*topology.Cluster, constraint.Assignment, error) {
-	cluster := topology.New(topology.Config{
-		Machines:        s.Machines,
-		MachinesPerRack: s.MachinesPerRack,
-		RacksPerCluster: s.RacksPerCluster,
-		Capacity:        resource.Milli(s.CapacityCPU, s.CapacityMem),
-	})
-	byID := make(map[string]*workload.Container, w.NumContainers())
-	for _, c := range w.Containers() {
-		byID[c.ID] = c
-	}
-	asg := make(constraint.Assignment, len(s.Placements))
-	for _, p := range s.Placements {
-		c := byID[p.Container]
-		if c == nil {
-			return nil, nil, fmt.Errorf("checkpoint: container %s not in workload", p.Container)
-		}
-		// Defend against duplicates even for snapshots that bypassed
-		// Read: a second Allocate for the same ID would overwrite
-		// asg[c.ID] and leak the first machine's capacity.
-		if _, dup := asg[c.ID]; dup {
-			return nil, nil, fmt.Errorf("checkpoint: duplicate placement for container %s", c.ID)
-		}
-		machine := cluster.Machine(p.Machine)
-		if machine == nil {
-			return nil, nil, fmt.Errorf("checkpoint: machine %d out of range", p.Machine)
-		}
-		if err := machine.Allocate(c.ID, c.Demand); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: restore: %w", err)
-		}
-		asg[c.ID] = p.Machine
-	}
-	return cluster, asg, nil
 }

@@ -9,12 +9,13 @@ import (
 	"aladdin/internal/workload"
 )
 
-// FuzzCheckpointRead feeds arbitrary bytes through both snapshot
-// decoders and, for anything they accept, through restore against a
-// small fixed workload.  The invariants: Read/ReadSession never
-// panic, and an accepted snapshot either restores or fails with a
-// clean error — never a crash, never a half-restored state that
-// flunks the invariant audit.
+// FuzzCheckpointRead feeds arbitrary bytes through the snapshot
+// decoder and, for anything it accepts, through restore against a
+// small fixed workload.  The invariants: ReadSession never panics —
+// the retired v1 format among the seeds is rejected by version — and
+// an accepted snapshot either restores or fails with a clean error —
+// never a crash, never a half-restored state that flunks the
+// invariant audit.
 func FuzzCheckpointRead(f *testing.F) {
 	f.Add([]byte(`{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 2,
 		"capacity_cpu_milli": 32000, "capacity_mem_mb": 65536,
@@ -32,22 +33,6 @@ func FuzzCheckpointRead(f *testing.F) {
 		{ID: "web", Demand: resource.Cores(4, 8192), Replicas: 2, AntiAffinitySelf: true},
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if snap, err := Read(bytes.NewReader(data)); err == nil {
-			// Cap the machine count before Restore materialises the
-			// topology: the fuzzer will happily claim a billion machines.
-			if snap.Machines <= 512 {
-				if _, _, rerr := snap.Restore(w); rerr == nil && len(snap.Placements) > 0 {
-					// Accepted and restored with placements: they must all
-					// be hosted.
-					cl, asg, _ := snap.Restore(w)
-					for id, m := range asg {
-						if !cl.Machine(m).Hosts(id) {
-							t.Fatalf("restored container %s not hosted on machine %d", id, m)
-						}
-					}
-				}
-			}
-		}
 		if snap, err := ReadSession(bytes.NewReader(data)); err == nil {
 			sess, _, rerr := snap.Restore(core.DefaultOptions(), w)
 			if rerr == nil {

@@ -193,8 +193,10 @@ func TestReadSessionValidation(t *testing.T) {
 	machines := `"machines": [{"name": "m0", "rack": "r0", "cluster": "g0", "capacity_cpu_milli": 1000, "capacity_mem_mb": 1024}]`
 	layout := `"layout": {"machines_per_rack": 1, "racks_per_cluster": 1}`
 	cases := map[string]string{
-		"empty":           ``,
-		"wrong version":   `{"version": 1, ` + layout + `, ` + machines + `}`,
+		"empty":         ``,
+		"wrong version": `{"version": 1, ` + layout + `, ` + machines + `}`,
+		"retired v1 body": `{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 2,
+			"capacity_cpu_milli": 32000, "capacity_mem_mb": 65536, "placements": [{"container": "web/0", "machine": 0}]}`,
 		"unknown field":   `{"version": 2, ` + layout + `, ` + machines + `, "extra": 1}`,
 		"no machines":     `{"version": 2, ` + layout + `, "machines": []}`,
 		"zero layout":     `{"version": 2, "layout": {"machines_per_rack": 0, "racks_per_cluster": 1}, ` + machines + `}`,
@@ -235,101 +237,5 @@ func TestReadSessionValidation(t *testing.T) {
 	ok := `{"version": 2, ` + layout + `, ` + machines + `}`
 	if _, err := ReadSession(strings.NewReader(ok)); err != nil {
 		t.Errorf("checksum-free snapshot should parse: %v", err)
-	}
-}
-
-// --- v1 regression tests: each failed on pre-PR code. ---
-
-// TestReadRejectsDefaultableLayout: v1 Restore feeds layout values
-// into topology.New, which substitutes defaults (40 machines/rack, 25
-// racks/cluster) for non-positive input — a zeroed layout silently
-// restored onto a topology with different anti-affinity boundaries.
-func TestReadRejectsDefaultableLayout(t *testing.T) {
-	cases := []string{
-		`{"version": 1, "machines": 4, "machines_per_rack": 0, "racks_per_cluster": 2, "capacity_cpu_milli": 1000, "capacity_mem_mb": 1024}`,
-		`{"version": 1, "machines": 4, "machines_per_rack": -2, "racks_per_cluster": 2, "capacity_cpu_milli": 1000, "capacity_mem_mb": 1024}`,
-		`{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 0, "capacity_cpu_milli": 1000, "capacity_mem_mb": 1024}`,
-		`{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 2, "capacity_cpu_milli": 0, "capacity_mem_mb": 1024}`,
-		`{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 2, "capacity_cpu_milli": 1000, "capacity_mem_mb": 0}`,
-	}
-	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q should fail", in)
-		}
-	}
-}
-
-// TestV1LayoutRoundTripEquality: a captured snapshot restores onto a
-// cluster with identical rack/sub-cluster boundaries, not defaults.
-func TestV1LayoutRoundTripEquality(t *testing.T) {
-	w, cl, asg := scheduled(t)
-	snap, err := Capture(cl, asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl2, _, err := back.Restore(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cl2.Racks(), cl.Racks(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rack set diverged: %v != %v", got, want)
-	}
-	for _, r := range cl.Racks() {
-		if got, want := cl2.Rack(r).Machines, cl.Rack(r).Machines; !reflect.DeepEqual(got, want) {
-			t.Fatalf("rack %s machines diverged: %v != %v", r, got, want)
-		}
-	}
-	if got, want := cl2.SubClusters(), cl.SubClusters(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sub-cluster set diverged: %v != %v", got, want)
-	}
-}
-
-// TestRejectsDuplicatePlacements: pre-PR, a snapshot placing the same
-// container on two machines passed Restore — the second Allocate
-// overwrote asg[c.ID] and leaked the first machine's capacity.
-func TestRejectsDuplicatePlacements(t *testing.T) {
-	in := `{"version": 1, "machines": 4, "machines_per_rack": 2, "racks_per_cluster": 2,
-		"capacity_cpu_milli": 32000, "capacity_mem_mb": 65536,
-		"placements": [{"container": "web/0", "machine": 0}, {"container": "web/0", "machine": 1}]}`
-	if _, err := Read(strings.NewReader(in)); err == nil {
-		t.Error("duplicate placements should fail Read")
-	}
-	// Restore defends independently of Read.
-	w := workload.MustNew([]*workload.App{
-		{ID: "web", Demand: resource.Cores(1, 1024), Replicas: 1},
-	})
-	snap := &Snapshot{
-		Version: 1, Machines: 4, MachinesPerRack: 2, RacksPerCluster: 2,
-		CapacityCPU: 32000, CapacityMem: 65536,
-		Placements: []Placement{
-			{Container: "web/0", Machine: 0},
-			{Container: "web/0", Machine: 1},
-		},
-	}
-	if _, _, err := snap.Restore(w); err == nil {
-		t.Error("duplicate placements should fail Restore")
-	}
-}
-
-// TestCaptureRefusesDownMachines: pre-PR, Capture ignored up/down
-// state and Restore brought every machine back up — a failed machine
-// silently resurrected by a warm restart.
-func TestCaptureRefusesDownMachines(t *testing.T) {
-	_, cl, asg := scheduled(t)
-	cl.Machine(5).MarkDown()
-	if _, err := Capture(cl, asg); err == nil {
-		t.Error("capture with a down machine should fail in the v1 format")
-	}
-	cl.Machine(5).MarkUp()
-	if _, err := Capture(cl, asg); err != nil {
-		t.Errorf("capture should succeed once the machine recovers: %v", err)
 	}
 }

@@ -2,8 +2,8 @@ package constraint
 
 import (
 	"testing"
-	"testing/quick"
 
+	"aladdin/internal/quickseed"
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
@@ -242,9 +242,7 @@ func TestQuickWeightLadderAlwaysVerifies(t *testing.T) {
 		return NewWeightLadder(w, 0).Verify(w) == nil &&
 			NewWeightLadder(w, 16).Verify(w) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 200)
 }
 
 func TestAuditAntiAffinity(t *testing.T) {
@@ -350,7 +348,5 @@ func TestQuickBlacklistMatchesAudit(t *testing.T) {
 		}
 		return len(AuditAntiAffinity(w, asg)) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 300)
 }

@@ -238,7 +238,7 @@ func (a *Auditor) checkAssignment() []AuditViolation {
 	}
 	for _, machine := range r.cluster.Machines() {
 		for _, id := range machine.ContainerIDs() {
-			c := r.byID[id]
+			c := r.w.Container(id)
 			if c == nil {
 				continue // pre-placed resident unknown to the workload
 			}

@@ -63,14 +63,7 @@ func (e *Explanation) String() string {
 // assignment, without mutating anything.  The blacklist state is
 // reconstructed from the assignment.
 func Explain(w *workload.Workload, cluster *topology.Cluster, asg constraint.Assignment, containerID string) (*Explanation, error) {
-	var target *workload.Container
-	byID := make(map[string]*workload.Container, w.NumContainers())
-	for _, c := range w.Containers() {
-		byID[c.ID] = c
-		if c.ID == containerID {
-			target = c
-		}
-	}
+	target := w.Container(containerID)
 	if target == nil {
 		return nil, fmt.Errorf("core: explain: %w %q", ErrUnknownContainer, containerID)
 	}
@@ -80,7 +73,7 @@ func Explain(w *workload.Workload, cluster *topology.Cluster, asg constraint.Ass
 	// assignment in map order is safe.
 	//aladdin:nondeterministic-ok commutative set accumulation
 	for id, m := range asg {
-		if c := byID[id]; c != nil {
+		if c := w.Container(id); c != nil {
 			bl.Place(m, c)
 		}
 	}
@@ -108,7 +101,7 @@ func Explain(w *workload.Workload, cluster *topology.Cluster, asg constraint.Ass
 					if len(e.SampleBlockers) < 5 {
 						e.SampleBlockers = append(e.SampleBlockers, Blocker{
 							Machine: mid,
-							Apps:    blockingApps(w, byID, m, target),
+							Apps:    blockingApps(w, m, target),
 						})
 					}
 					continue
@@ -124,11 +117,11 @@ func Explain(w *workload.Workload, cluster *topology.Cluster, asg constraint.Ass
 
 // blockingApps lists the distinct apps on machine m that conflict
 // with the target's app.
-func blockingApps(w *workload.Workload, byID map[string]*workload.Container, m *topology.Machine, target *workload.Container) []string {
+func blockingApps(w *workload.Workload, m *topology.Machine, target *workload.Container) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, id := range m.ContainerIDs() {
-		other := byID[id]
+		other := w.Container(id)
 		if other == nil || seen[other.App] {
 			continue
 		}

@@ -18,10 +18,6 @@ import (
 //	core.ExportNetworkDOT(os.Stdout, w, cluster, res.Assignment)
 func ExportNetworkDOT(out io.Writer, w *workload.Workload, cluster *topology.Cluster, asg constraint.Assignment) error {
 	n := buildNetwork(w, cluster)
-	byID := make(map[string]*workload.Container, w.NumContainers())
-	for _, c := range w.Containers() {
-		byID[c.ID] = c
-	}
 	// Deterministic replay order.
 	for _, c := range w.Containers() {
 		m, ok := asg[c.ID]

@@ -62,10 +62,6 @@ type Options struct {
 	// incremental aggregate update is cross-checked against the naive
 	// recompute, panicking on drift.  Slow; meant for tests.
 	DebugChecks bool
-	// IndexRebuildEvery is the search index's full-rebuild safety
-	// valve period, in machine updates; 0 means the default (32768),
-	// negative disables periodic rebuilds.
-	IndexRebuildEvery int
 	// Clock supplies wall-clock readings for the latency metrics
 	// (Result.Elapsed, FailureResult.Elapsed); nil means time.Now.
 	// Placement decisions never read the clock — it exists so replay

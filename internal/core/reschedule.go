@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
-	"aladdin/internal/workload"
 )
 
 // This file is the continuous-rescheduling face of the session: the
@@ -127,7 +124,7 @@ func (a *packingAccum) finish(stranded int) PackingStats {
 func (s *Session) PackingStats() PackingStats {
 	var a packingAccum
 	a.add(s.cluster)
-	return a.finish(s.strandedN)
+	return a.finish(s.led.strandedN)
 }
 
 // ConsolidateN runs the machine-draining consolidation pass with a
@@ -150,43 +147,25 @@ func (s *Session) ConsolidateN(budget int) (ConsolidateResult, error) {
 // that still fit nowhere stay stranded for the next sweep.
 func (s *Session) RetryStranded(budget int) (*RetryResult, error) {
 	res := &RetryResult{}
-	if s.strandedN == 0 {
+	queue := s.led.stranded()
+	if len(queue) == 0 {
 		return res, nil
 	}
 	r := s.r
-	cs := s.w.Containers()
-	queue := make([]*workload.Container, 0, s.strandedN)
-	for ord, st := range s.ledger {
-		if st == ledgerStranded {
-			queue = append(queue, cs[ord])
-		}
-	}
-	// Highest priority first, exactly like FailMachine's re-placement:
-	// scarce capacity goes to the containers whose weighted flows
-	// dominate.
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].Priority != queue[j].Priority {
-			return queue[i].Priority > queue[j].Priority
-		}
-		return queue[i].Ord < queue[j].Ord
-	})
+	byPriority(queue)
 	res.Retried = len(queue)
 	migBefore, preBefore := r.migrations, r.preempts
 	r.setMoveBudget(budget)
-	undep, err := s.placeQueue(queue, nil)
+	undep, err := s.placeQueue(queue, nil, s.steps)
 	r.setMoveBudget(0)
 	res.Migrations = r.migrations - migBefore
 	res.Preemptions = r.preempts - preBefore
 	// Whatever the sweep left undeployed — retried containers that
 	// still fit nowhere and collateral preemption victims alike —
 	// stays stranded so the next sweep picks it up.
-	for _, cid := range undep {
-		if c := r.byID[cid]; c != nil && s.ledger[c.Ord] == ledgerUndeployed {
-			s.setLedger(c.Ord, ledgerStranded)
-		}
-	}
-	for _, c := range queue[:res.Retried] {
-		if s.ledger[c.Ord] == ledgerPlaced {
+	s.led.markStranded(undep)
+	for _, c := range queue {
+		if s.led.state[c.Ord] == ledgerPlaced {
 			res.Replaced = append(res.Replaced, c.ID)
 		}
 	}
@@ -195,35 +174,11 @@ func (s *Session) RetryStranded(budget int) (*RetryResult, error) {
 
 // StrandedIDs lists the failure-stranded containers in workload
 // ordinal order.  The slice is freshly allocated; callers may keep it.
-func (s *Session) StrandedIDs() []string {
-	if s.strandedN == 0 {
-		return nil
-	}
-	out := make([]string, 0, s.strandedN)
-	cs := s.w.Containers()
-	for ord, st := range s.ledger {
-		if st == ledgerStranded {
-			out = append(out, cs[ord].ID)
-		}
-	}
-	return out
-}
+func (s *Session) StrandedIDs() []string { return containerIDs(nil, s.led.stranded()) }
 
 // Forget clears a container's failure-stranded mark so retry sweeps
 // stop attempting it — the online simulator calls it when a stranded
 // container's application departs.  Forgetting a placed container is
 // an error (use Remove); forgetting a container that is not stranded
 // is a no-op.
-func (s *Session) Forget(containerID string) error {
-	c := s.r.byID[containerID]
-	if c == nil {
-		return fmt.Errorf("core: session: unknown container %s", containerID)
-	}
-	if s.ledger[c.Ord] == ledgerPlaced {
-		return fmt.Errorf("core: session: container %s is placed; use Remove", containerID)
-	}
-	if s.ledger[c.Ord] == ledgerStranded {
-		s.setLedger(c.Ord, ledgerUndeployed)
-	}
-	return nil
-}
+func (s *Session) Forget(containerID string) error { return s.led.forget(containerID) }

@@ -3,14 +3,12 @@ package core
 import (
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"sort"
-	"strconv"
 	"testing"
-	"testing/quick"
 
 	"aladdin/internal/constraint"
 	"aladdin/internal/obs"
+	"aladdin/internal/quickseed"
 	"aladdin/internal/resource"
 	"aladdin/internal/sched"
 	"aladdin/internal/topology"
@@ -250,20 +248,6 @@ func TestRelocationMemoMatchesFreshSearch(t *testing.T) {
 	}
 }
 
-// quickSeed is the fixed seed of this file's property tests;
-// ALADDIN_QUICK_SEED overrides it to reproduce or explore.
-func quickSeed(t *testing.T) int64 {
-	seed := int64(20260927)
-	if v := os.Getenv("ALADDIN_QUICK_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("ALADDIN_QUICK_SEED=%q: %v", v, err)
-		}
-		seed = n
-	}
-	return seed
-}
-
 // TestTopKMatchesFullSort is the selection property both rescues rely
 // on: offering every candidate to a topK leaves exactly the first k of
 // the full sort the rescue used to run, under either ranking —
@@ -271,7 +255,7 @@ func quickSeed(t *testing.T) int64 {
 // defragmentation's (free CPU descending, machine ascending) — with
 // heavy ties on the key.
 func TestTopKMatchesFullSort(t *testing.T) {
-	seed := quickSeed(t)
+	seed := quickseed.Seed(t)
 	prop := func(keys []uint8, k8 uint8, defrag bool) bool {
 		k := int(k8)%maxMigrationAttempts + 1
 		type cand struct {
@@ -317,10 +301,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(seed))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Errorf("seed %d: %v", seed, err)
-	}
+	quickseed.Check(t, prop, 500)
 }
 
 // TestRelocationMemoRandomStates drives relocationFor directly over
@@ -331,7 +312,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 // container, asks the memo, compares with a fresh search, and puts the
 // container back — the exact-rollback discipline the rescues keep.
 func TestRelocationMemoRandomStates(t *testing.T) {
-	seed := quickSeed(t)
+	seed := quickseed.Seed(t)
 	w := workload.MustNew([]*workload.App{
 		{ID: "plain", Demand: resource.Cores(4, 4096), Replicas: 10},
 		{ID: "spread", Demand: resource.Cores(2, 2048), Replicas: 6, AntiAffinitySelf: true},

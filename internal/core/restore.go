@@ -73,7 +73,7 @@ func (s *Session) ExportState() *SessionState {
 		// Stranded is an undeployed sub-state: such containers appear
 		// in Undeployed (the complete not-placed ledger) and again in
 		// Stranded so a restored session keeps auto-retrying them.
-		switch s.ledger[c.Ord] {
+		switch s.led.state[c.Ord] {
 		case ledgerUndeployed:
 			st.Undeployed = append(st.Undeployed, c.ID)
 		case ledgerStranded:
@@ -142,41 +142,41 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 		if err := r.place(c, m); err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
-		s.ledger[c.Ord] = ledgerPlaced
+		s.led.state[c.Ord] = ledgerPlaced
 	}
 	// Pure validation sweep: which offending container the error names
 	// may vary with map order, but whether an error is returned cannot.
 	//aladdin:nondeterministic-ok error-path-only selection
 	for id := range st.Assignment {
-		if r.byID[id] == nil {
+		if w.Container(id) == nil {
 			return nil, fmt.Errorf("core: restore: container %s not in workload universe", id)
 		}
 	}
 	for _, id := range st.Undeployed {
-		c := r.byID[id]
+		c := w.Container(id)
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: undeployed container %s not in workload universe", id)
 		}
-		if s.ledger[c.Ord] == ledgerPlaced {
+		if s.led.state[c.Ord] == ledgerPlaced {
 			return nil, fmt.Errorf("core: restore: container %s both placed and undeployed", id)
 		}
-		s.ledger[c.Ord] = ledgerUndeployed
+		s.led.state[c.Ord] = ledgerUndeployed
 	}
 	for _, id := range st.Stranded {
-		c := r.byID[id]
+		c := w.Container(id)
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: stranded container %s not in workload universe", id)
 		}
-		if s.ledger[c.Ord] != ledgerUndeployed {
+		if s.led.state[c.Ord] != ledgerUndeployed {
 			return nil, fmt.Errorf("core: restore: stranded container %s not in the undeployed ledger", id)
 		}
-		s.setLedger(c.Ord, ledgerStranded)
+		s.led.set(c.Ord, ledgerStranded)
 	}
 	// Distinct ordinals: the writes commute, and which entry an error
 	// names may vary with map order but not whether one is returned.
 	//aladdin:nondeterministic-ok commutative writes, error-path-only selection
 	for id, n := range st.Requeues {
-		c := r.byID[id]
+		c := w.Container(id)
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: requeue ledger references unknown container %s", id)
 		}

@@ -28,7 +28,10 @@ func NewDefault() *Scheduler { return New(DefaultOptions()) }
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return s.opts.Name() }
 
-// run carries the mutable state of one Schedule invocation.
+// run carries the mutable scheduling state of one session: the flow
+// network, blacklists, search index, assignment and rescue scratch that
+// every entry point (Place, FailMachine, RetryStranded, Consolidate,
+// and through a Session, Schedule) shares and keeps warm.
 type run struct {
 	opts      Options
 	w         *workload.Workload
@@ -60,7 +63,6 @@ type run struct {
 	residents [][]int32
 	//aladdin:domain ord -> _ container ordinal → requeue count
 	requeues       []int
-	byID           map[string]*workload.Container
 	migrations     int
 	consolidations int
 	preempts       int
@@ -129,14 +131,10 @@ func newRun(opts Options, w *workload.Workload, cluster *topology.Cluster) *run 
 		asg:       make([]topology.MachineID, w.NumContainers()),
 		residents: make([][]int32, cluster.Size()),
 		requeues:  make([]int, w.NumContainers()),
-		byID:      make(map[string]*workload.Container, w.NumContainers()),
 		rescue:    rescueScratch{memo: make(map[classKey]relocation)},
 	}
 	for i := range r.asg {
 		r.asg[i] = topology.Invalid
-	}
-	for _, c := range w.Containers() {
-		r.byID[c.ID] = c
 	}
 	r.search = newSearcher(opts, w, cluster, r.blacklist)
 	r.met = newCoreMetrics(opts.Metrics, opts.MetricLabels)
@@ -163,109 +161,42 @@ func (r *run) assignmentMap() constraint.Assignment {
 	return r.asgMap
 }
 
-// Schedule implements sched.Scheduler.  Containers are processed in
-// the given arrival order; each is routed through the tiered flow
-// network, with migration and preemption invoked when no direct
-// augmenting path exists.
+// Schedule implements sched.Scheduler: the batch face of the one
+// placement pipeline.  A fresh Session places the arrivals in the given
+// order, each routed through the tiered flow network with migration
+// and preemption invoked when no direct augmenting path exists; the
+// session is then consolidated, and what the main pass stranded gets
+// one more try over the drained space.
 func (s *Scheduler) Schedule(w *workload.Workload, cluster *topology.Cluster, arrivals []*workload.Container) (*sched.Result, error) {
 	start := s.opts.now()
-	r := newRun(s.opts, w, cluster)
-	r.trc.Emit(obs.Event{Kind: obs.EvPlaceStart, Machine: -1, N: int64(len(arrivals))})
-
-	queue := make([]*workload.Container, len(arrivals))
-	copy(queue, arrivals)
-	var undeployed []string
-	for i := 0; i < len(queue); i++ {
-		c := queue[i]
-		// Isomorphism limiting (Fig. 5a): a sibling of this container
-		// already proved unplaceable and no capacity has been
-		// released since — the search cannot succeed, skip it.
-		if s.opts.IsomorphismLimiting {
-			if r.search.il.skip(r.search.refOf(c)) {
-				r.met.ilHits.Inc()
-				undeployed = append(undeployed, c.ID)
-				continue
-			}
-			r.met.ilMisses.Inc()
-		}
-		if m := r.search.findMachine(c, noExclusion); m != topology.Invalid {
-			if err := r.place(c, m); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if s.opts.Migration {
-			if ok, err := r.tryMigration(c); err != nil {
-				return nil, err
-			} else if ok {
-				continue
-			}
-			if ok, err := r.tryDefrag(c); err != nil {
-				return nil, err
-			} else if ok {
-				continue
-			}
-		}
-		if s.opts.Preemption {
-			victims, ok, err := r.tryPreemption(c)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				// Victims re-enter the queue after the current tail;
-				// their strictly lower priority bounds the recursion.
-				queue = append(queue, victims...)
-				continue
-			}
-		}
-		// An unplaceability proof recorded while a move budget constrains
-		// the rescue pipeline would poison later unconstrained searches —
-		// the failure may be the budget's, not the cluster's.
-		if s.opts.IsomorphismLimiting && r.moveCap == 0 {
-			r.search.il.note(r.search.refOf(c))
-		}
-		undeployed = append(undeployed, c.ID)
+	opts := s.opts
+	// The result below is the session-wide assignment; a per-batch ID
+	// map would be built only to be discarded.
+	opts.LeanPlaceResult = true
+	sess := NewSession(opts, w, cluster)
+	if _, err := sess.Place(arrivals); err != nil {
+		return nil, err
 	}
+	undeployed := sess.undep
 
 	if s.opts.Migration {
 		// Consolidation pass: empty lightly-loaded machines into the
 		// free space of used ones — the final step of minimising the
 		// number of used machines (§II.A's resource-efficiency
 		// objective).
-		if err := r.consolidate(); err != nil {
+		if _, err := sess.Consolidate(); err != nil {
 			return nil, err
 		}
-
 		// Drained machines expose whole-machine gaps; containers that
-		// were stranded by fragmentation get one more try through the
-		// full pipeline.
+		// were stranded by fragmentation get one more try: the direct
+		// search and the relocation rescue only.  No preemption — the
+		// retry must not displace what the main pass settled — and no
+		// IL, whose proofs any drain has voided.
 		if len(undeployed) > 0 {
-			var still []string
-			for _, id := range undeployed {
-				c := r.byID[id]
-				if c == nil {
-					still = append(still, id)
-					continue
-				}
-				if m := r.search.findMachine(c, noExclusion); m != topology.Invalid {
-					if err := r.place(c, m); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				if ok, err := r.tryMigration(c); err != nil {
-					return nil, err
-				} else if ok {
-					continue
-				}
-				if ok, err := r.tryDefrag(c); err != nil {
-					return nil, err
-				} else if ok {
-					continue
-				}
-				still = append(still, id)
+			var err error
+			if undeployed, err = sess.placeQueue(undeployed, nil, stepMigrate); err != nil {
+				return nil, err
 			}
-			undeployed = still
 		}
 	}
 
@@ -273,15 +204,16 @@ func (s *Scheduler) Schedule(w *workload.Workload, cluster *topology.Cluster, ar
 		// Applied last: the rescue passes above may have completed a
 		// partially-placed gang, and withdrawals must be final.
 		var err error
-		if undeployed, err = r.enforceGangs(undeployed); err != nil {
+		if undeployed, err = sess.enforceGangs(undeployed); err != nil {
 			return nil, err
 		}
 	}
 
+	r := sess.r
 	res := &sched.Result{
 		Scheduler:      s.Name(),
 		Assignment:     r.assignmentMap(),
-		Undeployed:     undeployed,
+		Undeployed:     containerIDs(nil, undeployed),
 		Violations:     r.inversions,
 		Migrations:     r.migrations,
 		Consolidations: r.consolidations,
@@ -289,7 +221,6 @@ func (s *Scheduler) Schedule(w *workload.Workload, cluster *topology.Cluster, ar
 		Elapsed:        s.opts.now().Sub(start),
 		WorkUnits:      r.search.explored,
 	}
-	r.met.placeBatch.Observe(res.Elapsed.Microseconds())
 	res.Finalize(w)
 	return res, nil
 }
@@ -632,28 +563,26 @@ func (r *run) commitMoves(c *workload.Container, detail string) {
 // enforceGangs applies all-or-nothing application semantics: every
 // placed container whose application has at least one undeployed
 // sibling is withdrawn and added to the undeployed set.
-func (r *run) enforceGangs(undeployed []string) ([]string, error) {
+func (s *Session) enforceGangs(undeployed []*workload.Container) ([]*workload.Container, error) {
 	broken := make(map[string]bool)
-	for _, id := range undeployed {
-		if c := r.byID[id]; c != nil {
-			broken[c.App] = true
-		}
+	for _, c := range undeployed {
+		broken[c.App] = true
 	}
 	if len(broken) == 0 {
 		return undeployed, nil
 	}
-	for _, c := range r.w.Containers() {
+	for _, c := range s.w.Containers() {
 		if !broken[c.App] {
 			continue
 		}
-		m := r.asg[c.Ord]
+		m := s.r.asg[c.Ord]
 		if m == topology.Invalid {
 			continue
 		}
-		if err := r.unplace(c, m); err != nil {
-			return nil, r.corrupt("gang rollback", err)
+		if err := s.r.unplace(c, m); err != nil {
+			return nil, s.r.corrupt("gang rollback", err)
 		}
-		undeployed = append(undeployed, c.ID)
+		undeployed = s.strand(undeployed, c)
 	}
 	return undeployed, nil
 }
@@ -1110,11 +1039,6 @@ func (r *run) evictable(victim, claimant *workload.Container) bool {
 	}
 	return r.ladder.WeightedFlow(victim) < r.ladder.WeightedFlow(claimant) &&
 		victim.Priority < claimant.Priority
-}
-
-// containerByID resolves a container ID through the run's index.
-func (r *run) containerByID(id string) *workload.Container {
-	return r.byID[id]
 }
 
 func sortVictims(vs []*workload.Container) {

@@ -47,9 +47,8 @@ type aggregates struct {
 	// measures the scan.
 	naive bool
 
-	debugCheck   bool
-	updates      int
-	rebuildEvery int
+	debugCheck bool
+	updates    int
 }
 
 // defaultRebuildEvery is the safety-valve period: after this many
@@ -58,20 +57,15 @@ type aggregates struct {
 const defaultRebuildEvery = 1 << 15
 
 func newAggregates(cluster *topology.Cluster, opts Options) *aggregates {
-	rebuildEvery := opts.IndexRebuildEvery
-	if rebuildEvery == 0 {
-		rebuildEvery = defaultRebuildEvery
-	}
 	a := &aggregates{
-		cluster:      cluster,
-		idx:          newCapIndex(cluster),
-		rackMaxFree:  make(map[string]resource.Vector, len(cluster.Racks())),
-		subMaxFree:   make(map[string]resource.Vector, len(cluster.SubClusters())),
-		subNames:     cluster.SubClusters(),
-		eager:        opts.NaiveSearch || opts.DebugChecks,
-		naive:        opts.NaiveSearch,
-		debugCheck:   opts.DebugChecks,
-		rebuildEvery: rebuildEvery,
+		cluster:     cluster,
+		idx:         newCapIndex(cluster),
+		rackMaxFree: make(map[string]resource.Vector, len(cluster.Racks())),
+		subMaxFree:  make(map[string]resource.Vector, len(cluster.SubClusters())),
+		subNames:    cluster.SubClusters(),
+		eager:       opts.NaiveSearch || opts.DebugChecks,
+		naive:       opts.NaiveSearch,
+		debugCheck:  opts.DebugChecks,
 	}
 	a.recomputeAll()
 	return a
@@ -128,7 +122,7 @@ func (a *aggregates) update(m topology.MachineID) {
 		a.subMaxFree[machine.Cluster] = a.naiveSubMaxFree(machine.Cluster)
 		return
 	}
-	if a.rebuildEvery > 0 && a.updates%a.rebuildEvery == 0 {
+	if a.updates%defaultRebuildEvery == 0 {
 		// Safety valve: resync everything from live machine state.
 		a.idx.rebuild()
 		if a.eager {

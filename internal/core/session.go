@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"aladdin/internal/constraint"
@@ -10,21 +9,6 @@ import (
 	"aladdin/internal/sched"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
-)
-
-// Ledger states: every container the session has seen is either
-// currently deployed or was submitted and is now undeployed (arrival
-// rejection, removal, preemption stranding, machine failure).  The
-// zero value means never submitted, so a fresh ledger needs no fill.
-// ledgerStranded is the undeployed sub-state for containers knocked
-// out by a machine failure: they did not ask to leave, so recovery
-// (and the rebalancer's stranded sweep) auto-retries them; every
-// other undeployed path requires an explicit re-submission.
-const (
-	ledgerNever      uint8 = 0
-	ledgerPlaced     uint8 = 1
-	ledgerUndeployed uint8 = 2
-	ledgerStranded   uint8 = 3
 )
 
 // Session is the online face of Aladdin (§VI: "Aladdin is an online
@@ -46,15 +30,12 @@ type Session struct {
 	r       *run
 	name    string
 
-	// ledger records each container's submission state by ordinal —
-	// the SoA replacement for the ID-keyed placed map.  ExportState
-	// derives the undeployed set from it.
-	//
-	//aladdin:domain ord -> _ container ordinal → submission state
-	ledger []uint8
-	// strandedN counts ledgerStranded entries so RecoverMachine can
-	// skip the retry sweep in O(1) when nothing is stranded.
-	strandedN int
+	// led is the submission ledger; ExportState derives the undeployed
+	// set from it.
+	led ledger
+	// steps is the rescue step set Options selects for every pipeline
+	// pass of this session.
+	steps steps
 	// disableRecoverRetry turns off RecoverMachine's automatic
 	// stranded-container retry.  The sharded wrapper sets it on its
 	// shard sessions: a shard cannot retry its own strandings because
@@ -62,19 +43,16 @@ type Session struct {
 	// wrapper runs the sweep itself across all shards.
 	disableRecoverRetry bool
 
-	// inBatch marks batch membership by ordinal: inBatch[ord] ==
-	// batchEpoch means the container is part of the Place call in
-	// flight.  An epoch bump resets all marks in O(1).
-	batchEpoch uint32
-	//aladdin:domain ord -> _ container ordinal → epoch of the batch in flight
-	inBatch []uint32
-
 	// Reusable per-batch scratch: the queue (batch plus requeued
-	// preemption victims), the undeployed-ID buffer, and the returned
-	// Result with its batch assignment view.  The Result a Place call
-	// returns (and everything it references) is valid only until the
-	// next Place call on the same session.
+	// preemption victims), the containers the last pipeline pass (Place
+	// or FailMachine) left undeployed — the sharded wrapper and Schedule
+	// read them here instead of re-resolving the result's IDs — the ID
+	// rendering of that list, and the returned Result with its batch
+	// assignment view.  The Result a Place call returns (and everything
+	// it references) is valid only until the next Place call on the same
+	// session.
 	queue    []*workload.Container
+	undep    []*workload.Container
 	undepBuf []string
 	res      sched.Result
 	resAsg   constraint.Assignment
@@ -90,8 +68,8 @@ func NewSession(opts Options, w *workload.Workload, cluster *topology.Cluster) *
 		w:       w,
 		cluster: cluster,
 		name:    opts.Name(),
-		ledger:  make([]uint8, w.NumContainers()),
-		inBatch: make([]uint32, w.NumContainers()),
+		led:     newLedger(w),
+		steps:   opts.steps(),
 	}
 	s.r = newRun(opts, w, cluster)
 	return s
@@ -103,7 +81,7 @@ func (s *Session) Assignment() constraint.Assignment { return s.r.assignmentMap(
 
 // Placed reports whether the container is currently deployed, in O(1).
 func (s *Session) Placed(containerID string) bool {
-	c := s.r.byID[containerID]
+	c := s.w.Container(containerID)
 	return c != nil && s.r.asg[c.Ord] != topology.Invalid
 }
 
@@ -140,43 +118,16 @@ func (s *Session) Place(batch []*workload.Container) (*sched.Result, error) {
 	migBefore, preBefore := r.migrations, r.preempts
 	exploredBefore := r.search.explored
 
-	s.batchEpoch++
-	epoch := s.batchEpoch
-	queue := s.queue[:0]
-	canon := s.w.Containers()
-	for _, c := range batch {
-		if c == nil {
-			return nil, fmt.Errorf("core: session: nil container in batch")
-		}
-		// Canonicalise to the workload's own container value: callers
-		// may hand in equivalent copies, but all ordinal-keyed state
-		// (assignment, network, ledger) is owned by the canonical one.
-		if c.Ord < 0 || c.Ord >= len(canon) || canon[c.Ord] != c {
-			cc := r.byID[c.ID]
-			if cc == nil {
-				return nil, fmt.Errorf("core: session: container %s not in workload universe", c.ID)
-			}
-			c = cc
-		}
-		if s.ledger[c.Ord] == ledgerPlaced {
-			return nil, fmt.Errorf("core: session: container %s already placed", c.ID)
-		}
-		// The whole batch is validated before anything is placed, so a
-		// duplicate must be caught here: by the time the pipeline saw
-		// the second copy, the first would already be deployed and the
-		// per-batch "not currently placed" check above would have
-		// passed for both, double-booking the machine.
-		if s.inBatch[c.Ord] == epoch {
-			return nil, fmt.Errorf("core: session: container %s appears more than once in batch", c.ID)
-		}
-		s.inBatch[c.Ord] = epoch
-		queue = append(queue, c)
+	// The whole batch is validated before anything is placed.
+	queue, err := s.led.admit(batch, s.queue[:0])
+	if err != nil {
+		return nil, err
 	}
 	s.queue = queue
 	nBatch := len(queue)
 
-	undeployed, err := s.placeQueue(queue, s.undepBuf[:0])
-	s.undepBuf = undeployed
+	s.undep, err = s.placeQueue(queue, s.undep[:0], s.steps)
+	s.undepBuf = containerIDs(s.undepBuf[:0], s.undep)
 
 	// Per-batch assignment view: only this batch's containers (victims
 	// from earlier batches that were displaced and re-placed stay in
@@ -199,7 +150,7 @@ func (s *Session) Place(batch []*workload.Container) (*sched.Result, error) {
 	s.res = sched.Result{
 		Scheduler:   s.name,
 		Assignment:  s.resAsg,
-		Undeployed:  undeployed,
+		Undeployed:  s.undepBuf,
 		Migrations:  r.migrations - migBefore,
 		Preemptions: r.preempts - preBefore,
 		Elapsed:     dt,
@@ -210,55 +161,74 @@ func (s *Session) Place(batch []*workload.Container) (*sched.Result, error) {
 	// Total for this batch only, plus requeued victims from earlier
 	// batches that this round stranded.
 	s.res.Total = nBatch
-	for _, id := range undeployed {
-		if c := r.byID[id]; c == nil || s.inBatch[c.Ord] != epoch {
+	for _, c := range s.undep {
+		if !s.led.member(c.Ord) {
 			s.res.Total++
 		}
 	}
 	return &s.res, err
 }
 
-// setLedger writes a container's submission state, keeping the
-// stranded count in sync.  Every ledger mutation funnels through here
-// so strandedN can never drift.
-//
-//aladdin:hotpath runs per container in placeQueue; two comparisons, no allocations
-func (s *Session) setLedger(ord int, state uint8) {
-	if s.ledger[ord] == ledgerStranded {
-		s.strandedN--
+// steps selects what a pipeline pass may do for a container beyond the
+// direct search.  A session's own passes run the set its Options name;
+// Schedule's post-consolidation retry runs stepMigrate alone.
+type steps uint8
+
+const (
+	// stepIL consults and feeds the isomorphism-limiting cache
+	// (Fig. 5a): a sibling already proved unplaceable and no capacity
+	// has been released since — the search cannot succeed, skip it.
+	stepIL steps = 1 << iota
+	// stepMigrate relocates placed containers to admit the claimant:
+	// anti-affinity migration (Fig. 3b), then defragmentation (Fig. 7).
+	stepMigrate
+	// stepPreempt evicts strictly-lower-priority containers (§III.B);
+	// the victims re-enter the queue.
+	stepPreempt
+)
+
+// steps derives the step set the options enable.
+func (o Options) steps() steps {
+	var do steps
+	if o.IsomorphismLimiting {
+		do |= stepIL
 	}
-	if state == ledgerStranded {
-		s.strandedN++
+	if o.Migration {
+		do |= stepMigrate
 	}
-	s.ledger[ord] = state
+	if o.Preemption {
+		do |= stepPreempt
+	}
+	return do
 }
 
 // strand records one container as undeployed in the session ledger
-// and appends its ID — every undeployed outcome (arrival rejection,
-// IL skip, error unwinding) funnels through here so a checkpoint
-// captures it and a warm restart knows not to re-attempt it.
-func (s *Session) strand(undep []string, c *workload.Container) []string {
-	s.setLedger(c.Ord, ledgerUndeployed)
-	return append(undep, c.ID)
+// and appends it — every undeployed outcome (arrival rejection, IL
+// skip, error unwinding) funnels through here so a checkpoint captures
+// it and a warm restart knows not to re-attempt it.
+func (s *Session) strand(undep []*workload.Container, c *workload.Container) []*workload.Container {
+	s.led.set(c.Ord, ledgerUndeployed)
+	return append(undep, c)
 }
 
-// placeQueue drives the normal placement pipeline — direct search,
-// migration, defragmentation, preemption — over a queue of
-// containers, re-queueing preemption victims behind the current tail,
-// and returns the IDs left undeployed (appended to undep, which
-// callers may pass with reused backing capacity).  It is the single
-// path both batch arrivals (Place) and failure re-placement
-// (FailMachine) run through, so every invariant (anti-affinity,
-// priority safety, index freshness) holds identically for both.
+// placeQueue drives the placement pipeline (Algorithm 1) — IL skip,
+// direct search, migration, defragmentation, preemption — over a queue
+// of containers, re-queueing preemption victims behind the current
+// tail, and returns the containers left undeployed (appended to undep,
+// which callers may pass with reused backing capacity).  It is the
+// single path batch arrivals (Place, and through it Schedule), failure
+// re-placement (FailMachine) and the stranded retry sweeps run
+// through, so every invariant (anti-affinity, priority safety, index
+// freshness) holds identically for all of them.
 //
 // On an internal placement error, processing stops: the remaining
 // queue is reported undeployed and the error returned.  Containers
 // placed before the error stay placed.
-func (s *Session) placeQueue(queue []*workload.Container, undep []string) ([]string, error) {
+func (s *Session) placeQueue(queue, undep []*workload.Container, do steps) ([]*workload.Container, error) {
 	r := s.r
 	for i := 0; i < len(queue); i++ {
 		c := queue[i]
-		if s.opts.IsomorphismLimiting {
+		if do&stepIL != 0 {
 			if r.search.il.skip(r.search.refOf(c)) {
 				r.met.ilHits.Inc()
 				undep = s.strand(undep, c)
@@ -266,65 +236,56 @@ func (s *Session) placeQueue(queue []*workload.Container, undep []string) ([]str
 			}
 			r.met.ilMisses.Inc()
 		}
-		if m := r.search.findMachine(c, noExclusion); m != topology.Invalid {
-			if err := r.place(c, m); err != nil {
-				for _, rest := range queue[i:] {
-					undep = s.strand(undep, rest)
-				}
-				return undep, err
+		victims, ok, err := r.placeOne(c, do)
+		if err != nil {
+			for _, rest := range queue[i:] {
+				undep = s.strand(undep, rest)
 			}
-			s.setLedger(c.Ord, ledgerPlaced)
+			return undep, err
+		}
+		if !ok {
+			// Budget-constrained failures prove nothing about the
+			// cluster: recording them would poison later unconstrained
+			// searches.
+			if do&stepIL != 0 && r.moveCap == 0 {
+				r.search.il.note(r.search.refOf(c))
+			}
+			undep = s.strand(undep, c)
 			continue
 		}
-		if s.opts.Migration {
-			ok, err := r.tryMigration(c)
-			if err != nil {
-				for _, rest := range queue[i:] {
-					undep = s.strand(undep, rest)
-				}
-				return undep, err
-			}
-			if ok {
-				s.setLedger(c.Ord, ledgerPlaced)
-				continue
-			}
-			if ok, err = r.tryDefrag(c); err != nil {
-				for _, rest := range queue[i:] {
-					undep = s.strand(undep, rest)
-				}
-				return undep, err
-			} else if ok {
-				s.setLedger(c.Ord, ledgerPlaced)
-				continue
-			}
+		s.led.set(c.Ord, ledgerPlaced)
+		// Preemption victims (possibly from an earlier batch) re-enter
+		// the queue after the current tail; their strictly lower
+		// priority bounds the recursion.
+		for _, v := range victims {
+			s.led.set(v.Ord, ledgerUndeployed)
+			queue = append(queue, v)
 		}
-		if s.opts.Preemption {
-			victims, ok, err := r.tryPreemption(c)
-			if err != nil {
-				for _, rest := range queue[i:] {
-					undep = s.strand(undep, rest)
-				}
-				return undep, err
-			}
-			if ok {
-				s.setLedger(c.Ord, ledgerPlaced)
-				for _, v := range victims {
-					// A victim from an earlier batch re-enters this
-					// batch's queue.
-					s.setLedger(v.Ord, ledgerUndeployed)
-					queue = append(queue, v)
-				}
-				continue
-			}
-		}
-		// Budget-constrained failures prove nothing about the cluster:
-		// recording them would poison later unconstrained searches.
-		if s.opts.IsomorphismLimiting && r.moveCap == 0 {
-			r.search.il.note(r.search.refOf(c))
-		}
-		undep = s.strand(undep, c)
 	}
 	return undep, nil
+}
+
+// placeOne finds one container a machine: the direct shortest-path
+// search first, then the rescue steps do allows, least disruptive
+// first.  Preemption's victims are handed back for re-queueing (run
+// scratch, valid until the next tryPreemption).
+func (r *run) placeOne(c *workload.Container, do steps) (victims []*workload.Container, ok bool, err error) {
+	if m := r.search.findMachine(c, noExclusion); m != topology.Invalid {
+		err = r.place(c, m)
+		return nil, err == nil, err
+	}
+	if do&stepMigrate != 0 {
+		if ok, err = r.tryMigration(c); ok || err != nil {
+			return nil, ok, err
+		}
+		if ok, err = r.tryDefrag(c); ok || err != nil {
+			return nil, ok, err
+		}
+	}
+	if do&stepPreempt != 0 {
+		return r.tryPreemption(c)
+	}
+	return nil, false, nil
 }
 
 // Remove handles a departure: the container's resources are released
@@ -333,7 +294,7 @@ func (s *Session) placeQueue(queue []*workload.Container, undep []string) ([]str
 //
 //aladdin:hotpath departures run between placements; steady state stays allocation-free
 func (s *Session) Remove(containerID string) error {
-	c := s.r.byID[containerID]
+	c := s.w.Container(containerID)
 	if c == nil {
 		return fmt.Errorf("core: session: unknown container %s", containerID)
 	}
@@ -344,7 +305,7 @@ func (s *Session) Remove(containerID string) error {
 	if err := s.r.unplace(c, m); err != nil {
 		return err
 	}
-	s.setLedger(c.Ord, ledgerUndeployed)
+	s.led.set(c.Ord, ledgerUndeployed)
 	return nil
 }
 
@@ -404,6 +365,7 @@ func (s *Session) FailMachine(id topology.MachineID) (*FailureResult, error) {
 
 	migBefore, preBefore := r.migrations, r.preempts
 	res := &FailureResult{Machine: id}
+	s.undep = s.undep[:0] // an early error return must not leave an earlier pass's list behind
 
 	// Snapshot the residents, then evict each: release the (down)
 	// machine's allocation, cancel the container's flow, clear its
@@ -416,7 +378,7 @@ func (s *Session) FailMachine(id topology.MachineID) (*FailureResult, error) {
 	var evicted []*workload.Container
 	for _, cid := range ids {
 		res.Evicted++
-		c := r.byID[cid]
+		c := s.w.Container(cid)
 		if c == nil {
 			// A pre-placed resident unknown to the workload: it was
 			// never routed through the flow network, so there is
@@ -433,27 +395,21 @@ func (s *Session) FailMachine(id topology.MachineID) (*FailureResult, error) {
 			res.Elapsed = s.opts.now().Sub(start)
 			return res, err
 		}
-		s.setLedger(c.Ord, ledgerUndeployed)
+		s.led.set(c.Ord, ledgerUndeployed)
 		evicted = append(evicted, c)
 	}
 
-	// Highest priority first (ties: workload order) so the scarce
-	// remaining capacity goes to the containers whose weighted flows
-	// dominate, without needing preemption to fix the order up after
-	// the fact.
-	sort.Slice(evicted, func(i, j int) bool {
-		if evicted[i].Priority != evicted[j].Priority {
-			return evicted[i].Priority > evicted[j].Priority
-		}
-		return evicted[i].Ord < evicted[j].Ord
-	})
-	// Fresh undeployed backing (not the Place scratch): FailureResult
-	// has no documented invalidation window, so its Stranded slice must
-	// not be overwritten by the next Place call.
-	stranded, err := s.placeQueue(evicted, nil)
-	res.Stranded = append(res.Stranded, stranded...)
+	// Highest priority first, so a displaced high-priority container is
+	// never beaten to the remaining capacity by a neighbour.
+	byPriority(evicted)
+	var err error
+	s.undep, err = s.placeQueue(evicted, s.undep[:0], s.steps)
+	// Rendered into fresh backing: FailureResult has no documented
+	// invalidation window, so its Stranded slice must not be
+	// overwritten by the next Place call.
+	res.Stranded = containerIDs(res.Stranded, s.undep)
 	for _, c := range evicted {
-		if s.ledger[c.Ord] == ledgerPlaced {
+		if s.led.state[c.Ord] == ledgerPlaced {
 			res.Replaced++
 		}
 	}
@@ -462,11 +418,7 @@ func (s *Session) FailMachine(id topology.MachineID) (*FailureResult, error) {
 	// stranded: these containers did not depart, so recovery may
 	// auto-retry them.  Residents unknown to the workload have no
 	// ledger entry and die with the machine.
-	for _, cid := range stranded {
-		if c := r.byID[cid]; c != nil && s.ledger[c.Ord] == ledgerUndeployed {
-			s.setLedger(c.Ord, ledgerStranded)
-		}
-	}
+	s.led.markStranded(s.undep)
 	res.Migrations = r.migrations - migBefore
 	res.Preemptions = r.preempts - preBefore
 	res.Elapsed = s.opts.now().Sub(start)
@@ -502,7 +454,7 @@ func (s *Session) RecoverMachine(id topology.MachineID) (*RecoverResult, error) 
 	s.r.trc.Emit(obs.Event{Kind: obs.EvRecoverMachine, Machine: int64(id)})
 	res := &RecoverResult{Machine: id}
 	var err error
-	if !s.disableRecoverRetry && s.strandedN > 0 {
+	if !s.disableRecoverRetry && s.led.strandedN > 0 {
 		var rr *RetryResult
 		rr, err = s.RetryStranded(0)
 		if rr != nil {

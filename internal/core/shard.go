@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -94,8 +93,6 @@ type ShardedSession struct {
 	//aladdin:domain ord -> shard container ordinal → first-try shard (homeOf/spread flattened)
 	routeOf []int32
 
-	byID map[string]*workload.Container //aladdin:lock-ok read-only container lookup
-
 	// placeMu serializes Place: batches are admitted, fanned out and
 	// merged one at a time, like the one scheduler manager per cluster
 	// the paper assumes — sharding parallelises the inside of a batch,
@@ -106,28 +103,18 @@ type ShardedSession struct {
 	//aladdin:lock-level 10 outermost: whole-batch serialization, taken before any shard mu
 	placeMu sync.Mutex
 
-	// mu guards the wrapper's global view: the submission ledger, the
-	// shard each container is placed on, and batch-membership epochs.
+	// mu guards the wrapper's global view: the submission ledger (with
+	// its batch-membership marks) and the shard each container is placed
+	// on.  The wrapper tracks strandedness itself — shard-local marks
+	// cannot drive retries, because a stranded container's feasible new
+	// home may live on another shard.
 	//
 	//aladdin:lock-level 30 innermost: table updates only, taken after shard mus are released or inside merge
-	mu sync.Mutex
-
-	//aladdin:domain ord -> _ container ordinal → submission state
-	ledger []uint8
-
-	// strandedN counts ledgerStranded entries in the wrapper ledger
-	// (guarded by mu).  The wrapper tracks strandedness itself —
-	// shard-local marks cannot drive retries, because a stranded
-	// container's feasible new home may live on another shard.
-	strandedN int
+	mu  sync.Mutex
+	led ledger
 
 	//aladdin:domain ord -> shard container ordinal → shard it is placed on (noShard if none)
 	shardOf []int32
-
-	batchEpoch uint32
-
-	//aladdin:domain ord -> _ container ordinal → epoch of the batch that touched it
-	inBatch []uint32
 }
 
 // NewSharded builds a sharded session over a workload universe and an
@@ -163,16 +150,11 @@ func NewSharded(opts Options, w *workload.Workload, cluster *topology.Cluster) (
 		ownerOf:  make([]int32, cluster.Size()),
 		localOf:  make([]topology.MachineID, cluster.Size()),
 		globalOf: make([][]topology.MachineID, k),
-		byID:     make(map[string]*workload.Container, w.NumContainers()),
-		ledger:   make([]uint8, w.NumContainers()),
+		led:      newLedger(w),
 		shardOf:  make([]int32, w.NumContainers()),
-		inBatch:  make([]uint32, w.NumContainers()),
 	}
 	for i := range s.shardOf {
 		s.shardOf[i] = noShard
-	}
-	for _, c := range w.Containers() {
-		s.byID[c.ID] = c
 	}
 
 	specs := make([][]topology.MachineSpec, k)
@@ -340,78 +322,13 @@ func (s *ShardedSession) locate(gid topology.MachineID) (*coreShard, topology.Ma
 	return s.shards[s.ownerOf[gid]], s.localOf[gid], nil
 }
 
-// routeShard picks the shard a container tries first: its app's home
-// shard, or — for spread apps — a round-robin slot keyed by the
-// container's immutable workload ordinal.  Reads only construction-
-// time tables, so it needs no lock.
-func (s *ShardedSession) routeShard(c *workload.Container) int32 {
-	return s.routeOf[c.Ord]
-}
-
-// admitBatch validates a batch against the wrapper ledger and splits
-// it into per-shard queues by the owning application's home shard.
-// It is the sharded analogue of Session.Place's validation prologue
-// and holds s.mu for its whole body.
-func (s *ShardedSession) admitBatch(batch []*workload.Container) (queues [][]*workload.Container, epoch uint32, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batchEpoch++
-	epoch = s.batchEpoch
-	queues = make([][]*workload.Container, len(s.shards))
-	canon := s.w.Containers()
-	for _, c := range batch {
-		if c == nil {
-			return nil, 0, fmt.Errorf("core: session: nil container in batch")
-		}
-		// Canonicalise only when the caller handed in a copy: batches
-		// straight from the workload (the common case) pass the
-		// pointer identity check and skip the map probe.
-		if c.Ord < 0 || c.Ord >= len(canon) || canon[c.Ord] != c {
-			cc := s.byID[c.ID]
-			if cc == nil {
-				return nil, 0, fmt.Errorf("core: session: container %s not in workload universe", c.ID)
-			}
-			c = cc
-		}
-		if s.ledger[c.Ord] == ledgerPlaced {
-			return nil, 0, fmt.Errorf("core: session: container %s already placed", c.ID)
-		}
-		if s.inBatch[c.Ord] == epoch {
-			return nil, 0, fmt.Errorf("core: session: container %s appears more than once in batch", c.ID)
-		}
-		s.inBatch[c.Ord] = epoch
-		home := s.routeShard(c)
-		queues[home] = append(queues[home], c)
-	}
-	return queues, epoch, nil
-}
-
-// setLedgerLocked writes a wrapper ledger entry, keeping the stranded
-// count in sync.  Callers hold s.mu.
-func (s *ShardedSession) setLedgerLocked(ord int, state uint8) {
-	if s.ledger[ord] == ledgerStranded {
-		s.strandedN--
-	}
-	if state == ledgerStranded {
-		s.strandedN++
-	}
-	s.ledger[ord] = state
-}
-
-// markUndeployed records a stranding in the wrapper tables under s.mu.
-func (s *ShardedSession) markUndeployed(ord int) {
-	s.mu.Lock()
-	s.setLedgerLocked(ord, ledgerUndeployed)
-	s.shardOf[ord] = noShard
-	s.mu.Unlock()
-}
-
-// markStranded records a failure-stranding in the wrapper tables under
-// s.mu: like markUndeployed, but the container stays eligible for the
+// unplaced records a container as off every shard in the wrapper tables
+// under s.mu: ledgerUndeployed for a departure or a stranded arrival,
+// ledgerStranded for a failure-stranding, which stays eligible for the
 // automatic retry sweeps (RecoverMachine, RetryStranded).
-func (s *ShardedSession) markStranded(ord int) {
+func (s *ShardedSession) unplaced(ord int, state uint8) {
 	s.mu.Lock()
-	s.setLedgerLocked(ord, ledgerStranded)
+	s.led.set(ord, state)
 	s.shardOf[ord] = noShard
 	s.mu.Unlock()
 }
@@ -436,10 +353,8 @@ type shardBatch struct {
 // placeOnShard runs one queue through one shard under its lock and
 // merges the outcome into the wrapper tables before the lock drops,
 // so a concurrent FailMachine on the same shard always observes
-// ledger and session in agreement.  epoch identifies the admitted
-// batch, separating stranded batch members from re-queued preemption
-// victims of earlier batches.
-func (s *ShardedSession) placeOnShard(k int, queue []*workload.Container, epoch uint32) shardBatch {
+// ledger and session in agreement.
+func (s *ShardedSession) placeOnShard(k int, queue []*workload.Container) shardBatch {
 	sh := s.shards[k]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -462,25 +377,20 @@ func (s *ShardedSession) placeOnShard(k int, queue []*workload.Container, epoch 
 			out.stranded = append(out.stranded, c)
 		}
 	}
-	// res.Undeployed holds the session-stranded containers: batch
-	// members (already collected above) plus displaced victims from
-	// earlier batches.  Both get their wrapper ledger entry below;
-	// strandings are rare, so the ID probes here are off the hot path.
+	// The shard session's undeployed list holds batch members (already
+	// collected above) plus displaced victims from earlier batches.
+	// Both get their wrapper ledger entry below.
 	s.mu.Lock()
 	for _, ord := range out.placed {
-		s.setLedgerLocked(int(ord), ledgerPlaced)
+		s.led.set(int(ord), ledgerPlaced)
 		s.shardOf[ord] = int32(k)
 	}
 	s.mu.Unlock()
-	for _, id := range res.Undeployed {
-		c := s.byID[id]
-		if c == nil {
-			continue
-		}
-		if !s.isInBatch(c.Ord, epoch) {
+	for _, c := range sh.sess.undep {
+		if !s.isInBatch(c.Ord) {
 			out.victims = append(out.victims, c)
 		}
-		s.markUndeployed(c.Ord)
+		s.unplaced(c.Ord, ledgerUndeployed)
 	}
 	out.elapsed = s.opts.now().Sub(t0)
 	return out
@@ -495,17 +405,31 @@ func (s *ShardedSession) placeOnShard(k int, queue []*workload.Container, epoch 
 // reports the batch's critical path (serial sections plus the slowest
 // shard); Result.WallElapsed reports this host's wall-clock.
 func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, error) {
+	res, _, err := s.place(batch)
+	return res, err
+}
+
+// place is Place that also hands back the containers the result lists
+// as undeployed, so the retry sweep need not resolve their IDs again.
+func (s *ShardedSession) place(batch []*workload.Container) (*sched.Result, []*workload.Container, error) {
 	start := s.opts.now()
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
 
-	queues, epoch, err := s.admitBatch(batch)
+	// Admission is the same ledger check Session.Place runs; the
+	// admitted batch then splits into per-shard queues by each
+	// container's first-try shard (construction-time table, no lock).
+	s.mu.Lock()
+	admitted, err := s.led.admit(batch, make([]*workload.Container, 0, len(batch)))
+	s.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	nBatch := 0
-	for _, q := range queues {
-		nBatch += len(q)
+	nBatch := len(admitted)
+	queues := make([][]*workload.Container, len(s.shards))
+	for _, c := range admitted {
+		home := s.routeOf[c.Ord]
+		queues[home] = append(queues[home], c)
 	}
 
 	slots := make([]shardBatch, len(s.shards))
@@ -514,7 +438,7 @@ func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, erro
 		if len(queues[k]) == 0 {
 			return
 		}
-		slots[k] = s.placeOnShard(k, queues[k], epoch)
+		slots[k] = s.placeOnShard(k, queues[k])
 	})
 	fanWall := s.opts.now().Sub(fanStart)
 
@@ -567,14 +491,14 @@ func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, erro
 		for k2 := 0; k2 < len(s.shards) && len(pending) > 0; k2++ {
 			queue := pending[:0:0]
 			for _, c := range pending {
-				if s.routeShard(c) != int32(k2) {
+				if s.routeOf[c.Ord] != int32(k2) {
 					queue = append(queue, c)
 				}
 			}
 			if len(queue) == 0 {
 				continue
 			}
-			sb := s.placeOnShard(k2, queue, epoch)
+			sb := s.placeOnShard(k2, queue)
 			if sb.err != nil {
 				errs = append(errs, fmt.Errorf("spill shard %d: %w", k2, sb.err))
 				break
@@ -588,7 +512,7 @@ func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, erro
 			landed := make(map[int]bool, len(sb.placed))
 			for i, ord := range sb.placed {
 				landed[int(ord)] = true
-				if res.Assignment != nil && s.isInBatch(int(ord), epoch) {
+				if res.Assignment != nil && s.isInBatch(int(ord)) {
 					res.Assignment[canon[ord].ID] = sb.asg[i]
 				}
 			}
@@ -606,9 +530,9 @@ func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, erro
 	// in batch order then victim order.  Victims were not part of the
 	// admitted batch, so each one stranded grows the total.
 	res.Total = nBatch
+	res.Undeployed = containerIDs(nil, pending)
 	for _, c := range pending {
-		res.Undeployed = append(res.Undeployed, c.ID)
-		if !s.isInBatch(c.Ord, epoch) {
+		if !s.isInBatch(c.Ord) {
 			res.Total++
 		}
 	}
@@ -621,22 +545,22 @@ func (s *ShardedSession) Place(batch []*workload.Container) (*sched.Result, erro
 	// covers the shard count.
 	res.WallElapsed = s.opts.now().Sub(start)
 	res.Elapsed = res.WallElapsed - fanWall + slowest
-	return res, errors.Join(errs...)
+	return res, pending, errors.Join(errs...)
 }
 
 // isPlaced reads the wrapper ledger under s.mu.
 func (s *ShardedSession) isPlaced(ord int) bool {
 	s.mu.Lock()
-	p := s.ledger[ord] == ledgerPlaced
+	p := s.led.state[ord] == ledgerPlaced
 	s.mu.Unlock()
 	return p
 }
 
-// isInBatch reports whether the container was part of the epoch's
-// admitted batch, under s.mu.
-func (s *ShardedSession) isInBatch(ord int, epoch uint32) bool {
+// isInBatch reports whether the container was admitted by the Place
+// pass in flight (placeMu makes that one batch), under s.mu.
+func (s *ShardedSession) isInBatch(ord int) bool {
 	s.mu.Lock()
-	in := s.inBatch[ord] == epoch
+	in := s.led.member(ord)
 	s.mu.Unlock()
 	return in
 }
@@ -644,11 +568,8 @@ func (s *ShardedSession) isInBatch(ord int, epoch uint32) bool {
 // Placed reports whether the container is currently deployed on any
 // shard.
 func (s *ShardedSession) Placed(containerID string) bool {
-	c := s.byID[containerID]
-	if c == nil {
-		return false
-	}
-	return s.isPlaced(c.Ord)
+	c := s.w.Container(containerID)
+	return c != nil && s.isPlaced(c.Ord)
 }
 
 // Assignment merges the shards' container→machine maps into one
@@ -667,7 +588,7 @@ func (s *ShardedSession) Assignment() constraint.Assignment {
 
 // Remove departs a container from whichever shard hosts it.
 func (s *ShardedSession) Remove(containerID string) error {
-	c := s.byID[containerID]
+	c := s.w.Container(containerID)
 	if c == nil {
 		return fmt.Errorf("core: session: unknown container %s", containerID)
 	}
@@ -691,7 +612,7 @@ func (s *ShardedSession) Remove(containerID string) error {
 		}
 		err := sh.sess.Remove(containerID)
 		if err == nil {
-			s.markUndeployed(c.Ord)
+			s.unplaced(c.Ord, ledgerUndeployed)
 		}
 		sh.mu.Unlock()
 		return err
@@ -712,10 +633,8 @@ func (s *ShardedSession) FailMachine(gid topology.MachineID) (*FailureResult, er
 	res, err := sh.sess.FailMachine(lid)
 	if res != nil {
 		res.Machine = gid
-		for _, id := range res.Stranded {
-			if c := s.byID[id]; c != nil {
-				s.markStranded(c.Ord)
-			}
+		for _, c := range sh.sess.undep {
+			s.unplaced(c.Ord, ledgerStranded)
 		}
 	}
 	return res, err
@@ -762,26 +681,9 @@ func (s *ShardedSession) RecoverMachine(gid topology.MachineID) (*RecoverResult,
 func (s *ShardedSession) RetryStranded(budget int) (*RetryResult, error) {
 	res := &RetryResult{}
 	s.mu.Lock()
-	var queue []*workload.Container
-	if s.strandedN > 0 {
-		cs := s.w.Containers()
-		queue = make([]*workload.Container, 0, s.strandedN)
-		for ord, st := range s.ledger {
-			if st == ledgerStranded {
-				queue = append(queue, cs[ord])
-			}
-		}
-	}
+	queue := s.led.stranded()
 	s.mu.Unlock()
-	if len(queue) == 0 {
-		return res, nil
-	}
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].Priority != queue[j].Priority {
-			return queue[i].Priority > queue[j].Priority
-		}
-		return queue[i].Ord < queue[j].Ord
-	})
+	byPriority(queue)
 	remaining := budget
 	for _, c := range queue {
 		if budget > 0 && remaining <= 0 {
@@ -794,7 +696,7 @@ func (s *ShardedSession) RetryStranded(budget int) (*RetryResult, error) {
 		if budget > 0 {
 			s.setShardMoveBudgets(remaining)
 		}
-		pr, err := s.Place([]*workload.Container{c})
+		pr, undep, err := s.place([]*workload.Container{c})
 		if budget > 0 {
 			s.setShardMoveBudgets(0)
 		}
@@ -812,14 +714,14 @@ func (s *ShardedSession) RetryStranded(budget int) (*RetryResult, error) {
 			remaining -= pr.Migrations + pr.Preemptions
 		}
 		placed := true
-		for _, id := range pr.Undeployed {
-			if id == c.ID {
+		for _, u := range undep {
+			if u == c {
 				placed = false
 			}
 			// Whatever the attempt left undeployed — the retried
 			// container or a collateral victim — stays stranded.
-			if cc := s.byID[id]; cc != nil && !s.isPlaced(cc.Ord) {
-				s.markStranded(cc.Ord)
+			if !s.isPlaced(u.Ord) {
+				s.unplaced(u.Ord, ledgerStranded)
 			}
 		}
 		if placed {
@@ -916,7 +818,7 @@ func (s *ShardedSession) PackingStats() PackingStats {
 		sh.mu.Unlock()
 	}
 	s.mu.Lock()
-	n := s.strandedN
+	n := s.led.strandedN
 	s.mu.Unlock()
 	return a.finish(n)
 }
@@ -926,35 +828,15 @@ func (s *ShardedSession) PackingStats() PackingStats {
 func (s *ShardedSession) StrandedIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.strandedN == 0 {
-		return nil
-	}
-	out := make([]string, 0, s.strandedN)
-	cs := s.w.Containers()
-	for ord, st := range s.ledger {
-		if st == ledgerStranded {
-			out = append(out, cs[ord].ID)
-		}
-	}
-	return out
+	return containerIDs(nil, s.led.stranded())
 }
 
 // Forget clears a container's failure-stranded mark in the wrapper
 // ledger; see Session.Forget.
 func (s *ShardedSession) Forget(containerID string) error {
-	c := s.byID[containerID]
-	if c == nil {
-		return fmt.Errorf("core: session: unknown container %s", containerID)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ledger[c.Ord] == ledgerPlaced {
-		return fmt.Errorf("core: session: container %s is placed; use Remove", containerID)
-	}
-	if s.ledger[c.Ord] == ledgerStranded {
-		s.setLedgerLocked(c.Ord, ledgerUndeployed)
-	}
-	return nil
+	return s.led.forget(containerID)
 }
 
 // Audit re-checks every shard's live placement for constraint
@@ -1001,7 +883,7 @@ func (s *ShardedSession) AuditInvariants() []AuditViolation {
 	}
 	containers := s.w.Containers()
 	s.mu.Lock()
-	ledger := append([]uint8(nil), s.ledger...)
+	ledger := append([]uint8(nil), s.led.state...)
 	shardOf := append([]int32(nil), s.shardOf...)
 	s.mu.Unlock()
 	for k, sh := range s.shards {

@@ -3,7 +3,8 @@ package flow
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 func TestDinicCLRS(t *testing.T) {
@@ -83,7 +84,5 @@ func TestQuickDinicMatchesEdmondsKarp(t *testing.T) {
 		}
 		return v1 == v2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 50)
 }

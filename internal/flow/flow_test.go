@@ -3,7 +3,8 @@ package flow
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 // diamond builds the classic 4-node max-flow example with answer 23.
@@ -327,9 +328,7 @@ func TestQuickMaxFlowEqualsMinCostFlowValue(t *testing.T) {
 		}
 		return v1 == v2 // both must find the same max-flow value
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 30)
 }
 
 func TestQuickFlowConservationRandom(t *testing.T) {
@@ -367,9 +366,7 @@ func TestQuickFlowConservationRandom(t *testing.T) {
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 30)
 }
 
 func TestQuickMinCostNotWorseThanAnyPath(t *testing.T) {
@@ -399,7 +396,5 @@ func TestQuickMinCostNotWorseThanAnyPath(t *testing.T) {
 		}
 		return fl == 1 && cost == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 30)
 }

@@ -3,7 +3,8 @@ package flow
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 func TestMCMFDijkstraBasic(t *testing.T) {
@@ -83,7 +84,5 @@ func TestQuickMCMFDijkstraMatchesSPFA(t *testing.T) {
 		}
 		return f1 == f2 && c1 == c2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 60)
 }

@@ -3,9 +3,9 @@ package medea
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"aladdin/internal/constraint"
+	"aladdin/internal/quickseed"
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
@@ -94,10 +94,25 @@ func TestExactSolveRejectsBigInstances(t *testing.T) {
 	}
 }
 
-// TestGreedyNearExact validates the approximation: on random tiny
-// instances the greedy+local-search scheduler's objective is never
-// better than the exact optimum and stays within an absolute gap.
+// TestGreedyNearExact validates the approximation on random tiny
+// instances (≤ 9 containers, three 8-core machines).  Two properties
+// hold by construction and are asserted exactly: the greedy+local-search
+// objective never beats the exact optimum, and the result is maximal —
+// nothing left undeployed is admissible on any machine (every rescue
+// pass ends with a full scan, and later placements only shrink free
+// space).  Near-optimality is not a theorem: the local search moves one
+// container at a time, so it cannot make the swap that frees a slot
+// (seed -4565365005895353599: a 6c×2, b 2c×2, c 1c×3 self-anti-affine;
+// greedy tops both a-machines up with b and strands two c, the optimum
+// pairs each a with a c — exact 6.375, greedy 4.125).  That is the
+// baseline as the paper evaluates it ("essentially an approximation
+// algorithm" that leaves containers undeployed under anti-affinity), so
+// the gap is held by a tripwire sized from measurement instead of the
+// earlier 2.0 guess: over 600,000 draws the greedy never stranded more
+// than two containers the optimum places (A = 1 each) and never lost a
+// full machine of fragmentation on top — worst gap 2.75.
 func TestGreedyNearExact(t *testing.T) {
+	const maxGap = 3.0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nApps := 1 + rng.Intn(3)
@@ -118,32 +133,44 @@ func TestGreedyNearExact(t *testing.T) {
 			return false
 		}
 		wts := Weights{A: 1, B: 1, C: 0}
-		clExact := tinyCluster(3)
-		_, exactObj, err := ExactSolve(w, clExact, wts)
+		_, exactObj, err := ExactSolve(w, tinyCluster(3), wts)
 		if err != nil {
 			return false
 		}
 		clGreedy := tinyCluster(3)
-		res, err := New(Options{Weights: wts, Sweeps: 3}).Schedule(w, clGreedy, w.Arrange(workload.OrderSubmission))
+		sch := New(Options{Weights: wts, Sweeps: 3})
+		res, err := sch.Schedule(w, clGreedy, w.Arrange(workload.OrderSubmission))
 		if err != nil {
 			return false
 		}
-		greedyObj, err := Objective(w, topology.New(topology.Config{
-			Machines: 3, MachinesPerRack: 2, RacksPerCluster: 2,
-			Capacity: resource.Cores(8, 16*1024),
-		}), res.Assignment, wts)
+		greedyObj, err := Objective(w, tinyCluster(3), res.Assignment, wts)
 		if err != nil {
 			return false
 		}
 		const eps = 1e-9
 		if greedyObj > exactObj+eps {
-			return false // greedy cannot beat the optimum
+			t.Logf("seed %d: greedy %.3f beats the optimum %.3f", seed, greedyObj, exactObj)
+			return false
 		}
-		// Generous absolute gap: greedy may miss packing nuances but
-		// should not collapse.
-		return exactObj-greedyObj <= 2.0+eps
+		st := newState(w, clGreedy)
+		for _, id := range res.Undeployed {
+			if m := sch.bestMachine(st, w.Container(id), topology.Invalid); m != topology.Invalid {
+				t.Logf("seed %d: %s left undeployed though machine %d admits it", seed, id, m)
+				return false
+			}
+		}
+		if gap := exactObj - greedyObj; gap > maxGap+eps {
+			t.Logf("seed %d: exact %.3f, greedy %.3f, gap %.3f > %.1f", seed, exactObj, greedyObj, gap, maxGap)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	// Fixed cases first: the seed that made this test flaky under the
+	// 2.0 bound, and the widest gap the measurement found.
+	for _, seed := range []int64{-4565365005895353599, 7881068002979003258} {
+		if !f(seed) {
+			t.Errorf("fixed seed %d failed", seed)
+		}
 	}
+	quickseed.Check(t, f, 40)
 }

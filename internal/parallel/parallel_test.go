@@ -3,7 +3,8 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -117,7 +118,5 @@ func TestQuickCounterSum(t *testing.T) {
 		}
 		return c.Sum() == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 100)
 }

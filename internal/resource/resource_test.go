@@ -4,7 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 func TestCoresConstructor(t *testing.T) {
@@ -219,9 +220,7 @@ func TestQuickAddCommutative(t *testing.T) {
 		a, b = clampVec(a), clampVec(b)
 		return a.Add(b) == b.Add(a)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickAddSubRoundTrip(t *testing.T) {
@@ -229,9 +228,7 @@ func TestQuickAddSubRoundTrip(t *testing.T) {
 		a, b = clampVec(a), clampVec(b)
 		return a.Add(b).Sub(b) == a
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickFitsAntisymmetry(t *testing.T) {
@@ -243,9 +240,7 @@ func TestQuickFitsAntisymmetry(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickFitsMonotone(t *testing.T) {
@@ -257,9 +252,7 @@ func TestQuickFitsMonotone(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickDominantShareBounds(t *testing.T) {
@@ -275,9 +268,7 @@ func TestQuickDominantShareBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickMaxDominates(t *testing.T) {
@@ -286,7 +277,5 @@ func TestQuickMaxDominates(t *testing.T) {
 		m := a.Max(b)
 		return m.Dominates(a) && m.Dominates(b)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }

@@ -358,7 +358,7 @@ func (t *Tenant) validateCall(c *placeCall, queued map[string]bool) (*placeReply
 	batch := make([]*workload.Container, 0, len(c.ids))
 	mine := make(map[string]bool, len(c.ids))
 	for _, id := range c.ids {
-		cont := t.byID[id]
+		cont := t.w.Container(id)
 		switch {
 		case cont == nil:
 			return &placeReply{status: 400, plain: fmt.Sprintf("unknown container %q", id)}, nil

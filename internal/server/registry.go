@@ -30,13 +30,9 @@ type Sched interface {
 	Assignment() constraint.Assignment
 	Placed(containerID string) bool
 	Audit() []constraint.Violation
-	FlowConservation() error
-	AuditInvariants() []core.AuditViolation
-	// Continuous-rescheduling surface (the rebalance.Target methods,
-	// plus the consolidate endpoint's direct path).
-	PackingStats() core.PackingStats
-	ConsolidateN(budget int) (core.ConsolidateResult, error)
-	RetryStranded(budget int) (*core.RetryResult, error)
+	// The continuous-rescheduling surface (also the consolidate
+	// endpoint's direct path) and the invariant audits.
+	rebalance.Target
 }
 
 // DefaultTenant is the name of the tenant New builds from its session
@@ -104,7 +100,6 @@ type Tenant struct {
 	plain    *core.Session
 	w        *workload.Workload
 	cluster  *topology.Cluster
-	byID     map[string]*workload.Container
 	ckptPath string
 	shards   int
 
@@ -132,13 +127,9 @@ func newTenant(name string, sch Sched, plain *core.Session, w *workload.Workload
 		plain:    plain,
 		w:        w,
 		cluster:  cluster,
-		byID:     make(map[string]*workload.Container, w.NumContainers()),
 		ckptPath: ckptPath,
 		shards:   shards,
 		met:      newTenantMetrics(reg, name),
-	}
-	for _, c := range w.Containers() {
-		t.byID[c.ID] = c
 	}
 	t.sched.Assignment()
 	return t
@@ -334,22 +325,22 @@ type tenantInfo struct {
 	CheckpointPath string `json:"checkpoint_path,omitempty"`
 }
 
-// info reads one tenant's summary under its read lock.  The queue
-// depth is read first: queueLen takes the batcher lock (level 42),
-// which must not be acquired under t.mu (level 44).
+// info reads one tenant's summary.  The live cluster numbers come from
+// sample, the one reader of live cluster state (a sharded tenant's own
+// cluster is a routing map nobody places on or fails); everything else
+// here is immutable after construction.
 func (t *Tenant) info() tenantInfo {
 	depth := 0
 	if t.bat != nil {
 		depth = t.bat.queueLen()
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	cs := t.sample()
 	return tenantInfo{
 		Name:           t.name,
-		Machines:       t.cluster.Size(),
-		MachinesDown:   t.cluster.DownMachines(),
+		Machines:       cs.machines,
+		MachinesDown:   cs.down,
 		Containers:     t.w.NumContainers(),
-		Placed:         len(t.sched.Assignment()),
+		Placed:         cs.placed,
 		QueueDepth:     depth,
 		Coalescing:     t.bat != nil,
 		Shards:         t.shards,

@@ -605,7 +605,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, t *Tenant) 
 	defer t.unlockAfterWrite()
 	batch := make([]*workload.Container, 0, len(req.Containers))
 	for _, id := range req.Containers {
-		c := t.byID[id]
+		c := t.w.Container(id)
 		if c == nil {
 			http.Error(w, fmt.Sprintf("unknown container %q", id), http.StatusBadRequest)
 			return

@@ -187,4 +187,19 @@ func TestShardedTenantClusterSample(t *testing.T) {
 	if line := `aladdin_machines_used{tenant="wide"} 3`; !strings.Contains(body, line) {
 		t.Errorf("/metrics lacks %q", line)
 	}
+	// GET /tenants reads the same live state: the failed machine lives
+	// on a shard's topology copy, not on the parent routing map.
+	var infos []tenantInfo
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/tenants", "").Body.Bytes(), &infos); err != nil {
+		t.Fatal(err)
+	}
+	wide := tenantInfo{}
+	for _, ti := range infos {
+		if ti.Name == "wide" {
+			wide = ti
+		}
+	}
+	if wide.Machines != 4000 || wide.MachinesDown != 1 || wide.Placed != 3 {
+		t.Errorf("/tenants wide = %+v, want 4000 machines, 1 down, 3 placed", wide)
+	}
 }

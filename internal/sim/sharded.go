@@ -91,15 +91,9 @@ func RunSharded(cfg ShardedConfig) (Metrics, error) {
 		// containers get one more try, mirroring Schedule's
 		// post-consolidation rescue.
 		if len(undeployed) > 0 {
-			byID := make(map[string]*workload.Container, len(undeployed))
-			for _, c := range cfg.Workload.Containers() {
-				byID[c.ID] = c
-			}
 			retry := make([]*workload.Container, 0, len(undeployed))
 			for _, id := range undeployed {
-				if c := byID[id]; c != nil {
-					retry = append(retry, c)
-				}
+				retry = append(retry, cfg.Workload.Container(id))
 			}
 			res2, rerr := sess.Place(retry)
 			if rerr != nil {

@@ -5,7 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"aladdin/internal/quickseed"
 )
 
 func TestCDFBasics(t *testing.T) {
@@ -170,9 +171,7 @@ func TestQuickCDFMonotone(t *testing.T) {
 		}
 		return c.At(x) <= c.At(y)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickPercentileWithinSamples(t *testing.T) {
@@ -192,7 +191,5 @@ func TestQuickPercentileWithinSamples(t *testing.T) {
 		sort.Float64s(samples)
 		return v >= samples[0] && v <= samples[len(samples)-1]
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }

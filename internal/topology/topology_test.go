@@ -2,8 +2,8 @@ package topology
 
 import (
 	"testing"
-	"testing/quick"
 
+	"aladdin/internal/quickseed"
 	"aladdin/internal/resource"
 )
 
@@ -270,9 +270,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 		}
 		return m.Used().Zero() && m.NumContainers() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 200)
 }
 
 func TestFromSpecsRoundTrip(t *testing.T) {

@@ -106,6 +106,9 @@ type Workload struct {
 	appIndex map[string]int
 
 	containers []*Container
+	// byID indexes containers by ID; Container is the one ID lookup
+	// every scheduler and server path shares.
+	byID map[string]*Container
 	// appOffset locates each app's first container within containers
 	// (containers are app-major).
 	appOffset map[string]int
@@ -164,6 +167,10 @@ func New(apps []*App) (*Workload, error) {
 			w.containers = append(w.containers, c)
 		}
 	}
+	w.byID = make(map[string]*Container, len(w.containers))
+	for _, c := range w.containers {
+		w.byID[c.ID] = c
+	}
 	w.partners = make(map[string][]string)
 	for pair := range w.antiPairs {
 		w.partners[pair[0]] = append(w.partners[pair[0]], pair[1])
@@ -216,6 +223,9 @@ func (w *Workload) HasAntiAffinity(appID string) bool {
 // Containers returns every container in app-major order.  The slice
 // is shared; callers must not mutate it.
 func (w *Workload) Containers() []*Container { return w.containers }
+
+// Container returns the container with the given ID, or nil.
+func (w *Workload) Container(id string) *Container { return w.byID[id] }
 
 // NumContainers returns the total container count.
 func (w *Workload) NumContainers() int { return len(w.containers) }

@@ -313,3 +313,19 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	MustNew([]*App{{ID: "bad", Replicas: -1}})
 }
+
+// TestContainerByID: the ID index agrees with Containers() at every
+// ordinal and knows nothing else.
+func TestContainerByID(t *testing.T) {
+	w := MustNew(twoApps())
+	for ord, c := range w.Containers() {
+		if got := w.Container(c.ID); got != c || got.Ord != ord {
+			t.Errorf("Container(%q) = %+v, want the container at ordinal %d", c.ID, got, ord)
+		}
+	}
+	for _, id := range []string{"", "web", "web/3", "web/-1", "db/00", "ghost/0"} {
+		if got := w.Container(id); got != nil {
+			t.Errorf("Container(%q) = %+v, want nil", id, got)
+		}
+	}
+}
