@@ -16,13 +16,13 @@ const domainWord = "domain"
 
 // Ordinalflow tracks which id space an integer value belongs to.  The
 // sharded core juggles several that are all plain int32 at the type
-// level — global machine ids, a shard's own machine ordinals, shard
-// indices, container ordinals, app refs — and a value from one space
-// silently indexes a table of another.  Domains are declared with
-// //aladdin:domain directives on the defining tables and scalars:
+// level — machine ids, shard indices, container ordinals, app refs —
+// and a value from one space silently indexes a table of another.
+// Domains are declared with //aladdin:domain directives on the
+// defining tables and scalars:
 //
-//	ownerOf []int32            //aladdin:domain global -> shard
-//	globalOf [][]MachineID     //aladdin:domain shard, machine -> global
+//	ownerOf []int32            //aladdin:domain machine -> shard
+//	residents [][]int32        //aladdin:domain machine, _ -> ord
 //	Ord int                    //aladdin:domain ord
 //
 //	//aladdin:domain ord -> machine
@@ -445,8 +445,8 @@ func (st *ordinalflowState) domainOf(e ast.Expr) string {
 			return spec.elem
 		}
 	case *ast.CallExpr:
-		// Conversions pass the domain through: int32(gid) is still a
-		// global id.
+		// Conversions pass the domain through: int32(id) is still a
+		// machine id.
 		if tv, ok := st.pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			return st.domainOf(e.Args[0])
 		}

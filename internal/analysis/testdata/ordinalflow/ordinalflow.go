@@ -1,18 +1,18 @@
 // Package ordinalflow is the golden fixture for the ordinalflow
-// analyzer.  The router mirrors the sharded core's translation
-// tables: global machine ids, per-shard machine ordinals, shard
-// indices, container ordinals, and app refs are all plain integers,
-// and only the //aladdin:domain declarations tell them apart.
+// analyzer.  The router numbers machines twice — fleet-wide, and by
+// slot inside the shard that owns them — beside shard indices,
+// container ordinals, and app refs: all plain integers, and only the
+// //aladdin:domain declarations tell them apart.
 package ordinalflow
 
 type MachineID int32
 
 type router struct {
-	ownerOf  []int32       //aladdin:domain global -> shard owning shard of each global machine id
-	localOf  []MachineID   //aladdin:domain global -> machine global machine id to its shard-local id
-	globalOf [][]MachineID //aladdin:domain shard, machine -> global per-shard local-to-global table
-	asg      []MachineID   //aladdin:domain ord -> machine container ordinal to assigned machine
-	routeOf  []int32       //aladdin:domain ord -> shard container ordinal to first-try shard
+	ownerOf []int32       //aladdin:domain fleet -> shard owning shard of each fleet machine id
+	slotOf  []MachineID   //aladdin:domain fleet -> machine fleet machine id to its shard-local id
+	fleetOf [][]MachineID //aladdin:domain shard, machine -> fleet per-shard local-to-fleet table
+	asg     []MachineID   //aladdin:domain ord -> machine container ordinal to assigned machine
+	routeOf []int32       //aladdin:domain ord -> shard container ordinal to first-try shard
 }
 
 type container struct {
@@ -30,30 +30,30 @@ func (r *router) assignedOrd(ord int32) MachineID {
 	return r.asg[ord]
 }
 
-// roundTrip follows the clean translation chain global → shard/local
-// → global: no findings.
+// roundTrip follows the clean translation chain fleet → shard/local
+// → fleet: no findings.
 //
-//aladdin:domain global -> global
+//aladdin:domain fleet -> fleet
 func (r *router) roundTrip(gid MachineID) MachineID {
 	k := r.ownerOf[gid]
-	lm := r.localOf[gid]
-	return r.globalOf[k][lm]
+	lm := r.slotOf[gid]
+	return r.fleetOf[k][lm]
 }
 
-// crossIndex feeds a shard-local id back into a global-indexed table.
+// crossIndex feeds a shard-local id back into a fleet-indexed table.
 //
-//aladdin:domain global -> machine
+//aladdin:domain fleet -> machine
 func (r *router) crossIndex(gid MachineID) MachineID {
-	lm := r.localOf[gid]
-	return r.localOf[lm] // want `indexing r.localOf with a machine value; its index space is global ids`
+	lm := r.slotOf[gid]
+	return r.slotOf[lm] // want `indexing r.slotOf with a machine value; its index space is fleet ids`
 }
 
 // sameMachine compares ids from two different spaces.
 //
-//aladdin:domain ord, global -> _
+//aladdin:domain ord, fleet -> _
 func (r *router) sameMachine(ord int32, gid MachineID) bool {
 	lm := r.asg[ord]
-	return lm == gid // want `comparing a machine value with a global value`
+	return lm == gid // want `comparing a machine value with a fleet value`
 }
 
 // setHome stores into an annotated scalar field.
@@ -66,10 +66,10 @@ func (r *router) setHome(s *slot, ord int32) {
 
 // store writes through an annotated table's element domain.
 //
-//aladdin:domain global, shard -> _
+//aladdin:domain fleet, shard -> _
 func (r *router) store(gid MachineID, k int32) {
 	r.ownerOf[gid] = k          // ok: elem domain is shard
-	r.ownerOf[gid] = int32(gid) // want `storing global value into r.ownerOf, declared to hold shard ids`
+	r.ownerOf[gid] = int32(gid) // want `storing fleet value into r.ownerOf, declared to hold shard ids`
 }
 
 // useMachine consumes shard-local machine ordinals.
@@ -85,11 +85,11 @@ func (r *router) callMismatch(ord int32) {
 	r.useMachine(MachineID(ord)) // want `passing ord value to useMachine, whose parameter 1 takes machine ids`
 }
 
-// wrongReturn declares a global result but returns a machine ordinal.
+// wrongReturn declares a fleet result but returns a machine ordinal.
 //
-//aladdin:domain ord -> global
+//aladdin:domain ord -> fleet
 func (r *router) wrongReturn(ord int32) MachineID {
-	return r.asg[ord] // want `returning machine value from wrongReturn, declared to return global ids`
+	return r.asg[ord] // want `returning machine value from wrongReturn, declared to return fleet ids`
 }
 
 // sweep exercises range-loop domain propagation.
@@ -100,18 +100,18 @@ func (r *router) sweep() MachineID {
 	}
 	for ord, lm := range r.asg {
 		_ = lm
-		total += r.localOf[ord] // want `indexing r.localOf with a ord value; its index space is global ids`
+		total += r.slotOf[ord] // want `indexing r.slotOf with a ord value; its index space is fleet ids`
 	}
 	return total
 }
 
 // localTable binds a domain to a local variable at its definition.
 //
-//aladdin:domain ord, global -> _
+//aladdin:domain ord, fleet -> _
 func (r *router) localTable(ord int32, gid MachineID) int32 {
 	refs := r.routeOf //aladdin:domain ord -> shard local view of the routing table
 	if gid > 0 {
-		return refs[gid] // want `indexing refs with a global value; its index space is ord ids`
+		return refs[gid] // want `indexing refs with a fleet value; its index space is ord ids`
 	}
 	return refs[ord] // ok
 }
@@ -121,16 +121,16 @@ func (r *router) byContainer(c *container) MachineID {
 	return r.asg[c.Ord] // ok
 }
 
-// confused indexes a global table with a container ordinal.
+// confused indexes a fleet table with a container ordinal.
 func (r *router) confused(c *container) MachineID {
-	return r.localOf[c.Ord] // want `indexing r.localOf with a ord value; its index space is global ids`
+	return r.slotOf[c.Ord] // want `indexing r.slotOf with a ord value; its index space is fleet ids`
 }
 
 // suppressed documents a deliberate cross-domain probe.
 //
-//aladdin:domain global -> _
+//aladdin:domain fleet -> _
 func (r *router) suppressed(gid MachineID) {
-	lm := r.localOf[gid]
+	lm := r.slotOf[gid]
 	//aladdin:domain-ok fixture: deliberate cross-domain probe under test
-	_ = r.localOf[lm]
+	_ = r.slotOf[lm]
 }

@@ -58,7 +58,10 @@ type RequeueCount struct {
 // per-machine topology (capacities, down set), every placement, and
 // the session's undeployed and requeue ledgers.  Restoring it yields
 // a core.Session whose subsequent scheduling decisions are
-// byte-identical to a session that never restarted.
+// byte-identical to a session that never restarted.  The snapshot does
+// not record how the session was sharded — machine ids are the
+// cluster's own either way — so one captured from a sharded session
+// restores into either shape (State).
 type SessionSnapshot struct {
 	Version int `json:"version"`
 	// Checksum is the hex sha256 of the snapshot's JSON encoding with
@@ -91,10 +94,17 @@ type SessionSnapshot struct {
 	ILFailed []string `json:"il_failed,omitempty"`
 }
 
+// Source is what CaptureSession reads off a live session; *core.Session
+// and *core.ShardedSession both provide it.
+type Source interface {
+	Cluster() *topology.Cluster
+	ExportState() *core.SessionState
+}
+
 // CaptureSession snapshots a live session: topology (including down
 // machines and heterogeneous capacities), placements, and the
 // undeployed/requeue ledgers.
-func CaptureSession(s *core.Session) (*SessionSnapshot, error) {
+func CaptureSession(s Source) (*SessionSnapshot, error) {
 	cluster := s.Cluster()
 	if cluster.Size() == 0 {
 		return nil, fmt.Errorf("checkpoint: empty cluster")
@@ -332,12 +342,12 @@ func ReadSession(r io.Reader) (*SessionSnapshot, error) {
 	return &s, nil
 }
 
-// Restore rebuilds a live session from the snapshot: topology via
-// FromSpecs (heterogeneous capacities, down machines marked before
-// any replay), then core.RestoreSession replaying every placement
-// through the scheduler's own place path.  The workload must be the
-// universe the snapshot was captured from.
-func (s *SessionSnapshot) Restore(opts core.Options, w *workload.Workload) (*core.Session, *topology.Cluster, error) {
+// State decodes the snapshot into what a core restore takes: a fresh
+// topology via FromSpecs (heterogeneous capacities, down machines
+// marked before any replay) and the session state to replay onto it —
+// through core.RestoreSession or core.RestoreSharded, the caller's
+// choice of shape.
+func (s *SessionSnapshot) State() (*topology.Cluster, *core.SessionState, error) {
 	specs := make([]topology.MachineSpec, len(s.Machines))
 	for i, m := range s.Machines {
 		specs[i] = topology.MachineSpec{
@@ -367,6 +377,18 @@ func (s *SessionSnapshot) Restore(opts core.Options, w *workload.Workload) (*cor
 	}
 	for _, rq := range s.Requeues {
 		st.Requeues[rq.Container] = rq.Count
+	}
+	return cluster, st, nil
+}
+
+// Restore rebuilds a live unsharded session from the snapshot:
+// State, then core.RestoreSession replaying every placement through
+// the scheduler's own place path.  The workload must be the universe
+// the snapshot was captured from.
+func (s *SessionSnapshot) Restore(opts core.Options, w *workload.Workload) (*core.Session, *topology.Cluster, error) {
+	cluster, st, err := s.State()
+	if err != nil {
+		return nil, nil, err
 	}
 	sess, err := core.RestoreSession(opts, w, cluster, st)
 	if err != nil {

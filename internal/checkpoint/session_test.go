@@ -106,6 +106,80 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardedCheckpointSnapshot: a snapshot captured from a sharded
+// session is an ordinary v2 snapshot.  It restores into a sharded
+// session and into an unsharded one, and a capture of either is the
+// captured snapshot again, byte for byte.
+func TestShardedCheckpointSnapshot(t *testing.T) {
+	w := trace.MustGenerate(trace.Scaled(13, 300))
+	opts := core.DefaultOptions()
+	opts.Shards = 3
+	sharded, err := core.NewSharded(opts, w, topology.New(topology.Config{
+		Machines: 48, MachinesPerRack: 4, RacksPerCluster: 4,
+		Capacity: resource.Cores(32, 64*1024),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharded.NumShards() != 3 {
+		t.Fatalf("fixture has %d shards, want 3", sharded.NumShards())
+	}
+	if _, err := sharded.Place(w.Containers()[:w.NumContainers()/2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []topology.MachineID{2, 30} {
+		if _, err := sharded.FailMachine(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode := func(src Source) []byte {
+		t.Helper()
+		snap, err := CaptureSession(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := encode(sharded)
+	snap, err := ReadSession(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Placements) == 0 || len(snap.Stranded) == 0 {
+		t.Fatalf("fixture too easy: %d placements, %d stranded", len(snap.Placements), len(snap.Stranded))
+	}
+
+	cluster, st, err := snap.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.RestoreSharded(opts, w, cluster, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(back); !bytes.Equal(got, want) {
+		t.Error("sharded → snapshot → sharded → snapshot is not byte-identical")
+	}
+	if vs := back.AuditInvariants(); len(vs) != 0 {
+		t.Errorf("restored sharded session violations: %v", vs)
+	}
+
+	plain, _, err := snap.Restore(core.DefaultOptions(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(plain); !bytes.Equal(got, want) {
+		t.Error("sharded → snapshot → unsharded → snapshot is not byte-identical")
+	}
+	if vs := plain.AuditInvariants(); len(vs) != 0 {
+		t.Errorf("unsharded session restored from a sharded snapshot: %v", vs)
+	}
+}
+
 func TestSessionSnapshotWriteFile(t *testing.T) {
 	s, w, _ := liveSession(t)
 	snap, err := CaptureSession(s)

@@ -72,14 +72,16 @@ type idxVisitor interface {
 }
 
 func newCapIndex(cluster *topology.Cluster) *capIndex {
-	n := cluster.Size()
+	// Sized by the machines the cluster schedules on, not by its ID
+	// space: a shard's view spans the parent's IDs but owns a slice.
+	tr := cluster.Traverse()
 	leaves := 1
-	for leaves < n {
+	for leaves < len(tr.Order) {
 		leaves <<= 1
 	}
 	x := &capIndex{
 		cluster: cluster,
-		tr:      cluster.Traverse(),
+		tr:      tr,
 		leaves:  leaves,
 		nodes:   make([]idxNode, 2*leaves),
 	}

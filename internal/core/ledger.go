@@ -158,6 +158,69 @@ func (l *ledger) forget(containerID string) error {
 	return nil
 }
 
+// export renders the ledger for a SessionState: every submitted
+// container that is not placed, and the failure-stranded subset of
+// those — stranded is an undeployed sub-state, listed in both so a
+// restored session keeps auto-retrying it.  Both sorted; nil when empty.
+func (l *ledger) export() (undeployed, stranded []string) {
+	for ord, c := range l.w.Containers() {
+		switch l.state[ord] {
+		case ledgerUndeployed:
+			undeployed = append(undeployed, c.ID)
+		case ledgerStranded:
+			undeployed = append(undeployed, c.ID)
+			stranded = append(stranded, c.ID)
+		}
+	}
+	sort.Strings(undeployed)
+	sort.Strings(stranded)
+	return undeployed, stranded
+}
+
+// restore fills a fresh ledger from a captured state: the one
+// validation every restore runs, whichever session shape it rebuilds.
+// It is strict — no state at all, a container outside the workload
+// universe, one listed both placed and undeployed, or a stranded one
+// missing from the undeployed list fails the restore rather than
+// yielding a silently diverged ledger.
+func (l *ledger) restore(st *SessionState) error {
+	if st == nil {
+		return fmt.Errorf("core: restore: nil state")
+	}
+	// Distinct ordinals: the writes commute, and which offending
+	// container the error names may vary with map order, but whether an
+	// error is returned cannot.
+	//aladdin:nondeterministic-ok commutative writes, error-path-only selection
+	for id := range st.Assignment {
+		c := l.w.Container(id)
+		if c == nil {
+			return fmt.Errorf("core: restore: container %s not in workload universe", id)
+		}
+		l.state[c.Ord] = ledgerPlaced
+	}
+	for _, id := range st.Undeployed {
+		c := l.w.Container(id)
+		if c == nil {
+			return fmt.Errorf("core: restore: undeployed container %s not in workload universe", id)
+		}
+		if l.state[c.Ord] == ledgerPlaced {
+			return fmt.Errorf("core: restore: container %s both placed and undeployed", id)
+		}
+		l.state[c.Ord] = ledgerUndeployed
+	}
+	for _, id := range st.Stranded {
+		c := l.w.Container(id)
+		if c == nil {
+			return fmt.Errorf("core: restore: stranded container %s not in workload universe", id)
+		}
+		if l.state[c.Ord] != ledgerUndeployed {
+			return fmt.Errorf("core: restore: stranded container %s not in the undeployed ledger", id)
+		}
+		l.set(c.Ord, ledgerStranded)
+	}
+	return nil
+}
+
 // byPriority orders containers for re-placement: highest priority
 // first (ties: workload order), so scarce capacity goes to the
 // containers whose weighted flows dominate without needing preemption

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"aladdin/internal/obs"
 	"aladdin/internal/topology"
 )
@@ -115,6 +117,15 @@ func (m coreMetrics) initGauges(cluster *topology.Cluster) {
 	}
 	m.machinesUp.Set(up)
 	m.machinesDown.Set(down)
+}
+
+// restored records one warm restart that began at start.
+func (m coreMetrics) restored(opts Options, start time.Time) {
+	if !m.on {
+		return
+	}
+	m.restoreLat.Observe(opts.now().Sub(start).Microseconds())
+	m.restores.Inc()
 }
 
 // corrupt wraps a rescue-step failure as a CorruptionError, counting

@@ -104,8 +104,9 @@ func buildNetwork(w *workload.Workload, cluster *topology.Cluster) *network {
 	g := n.g
 	// Node and arc counts are known up front (A→G arcs materialise
 	// lazily; reserve one per app as a working estimate).
-	g.Grow(2+len(apps)+len(subs)+len(cluster.Racks())+cluster.Size()+w.NumContainers(),
-		len(cluster.Racks())+2*cluster.Size()+2*w.NumContainers()+len(apps))
+	nodes := len(cluster.Machines())
+	g.Grow(2+len(apps)+len(subs)+len(cluster.Racks())+nodes+w.NumContainers(),
+		len(cluster.Racks())+2*nodes+2*w.NumContainers()+len(apps))
 	n.source = g.AddNode()
 	n.sink = g.AddNode()
 

@@ -41,13 +41,10 @@ type RetryResult struct {
 // automatic stranded-container retry it runs.
 type RecoverResult struct {
 	Machine topology.MachineID `json:"machine"`
-	// Retried / Replaced / Migrations / Preemptions describe the
-	// stranded retry sweep (all zero when nothing was stranded).
-	Retried     int           `json:"retried"`
-	Replaced    []string      `json:"replaced,omitempty"`
-	Migrations  int           `json:"migrations"`
-	Preemptions int           `json:"preemptions"`
-	Elapsed     time.Duration `json:"elapsed_ns"`
+	// RetryResult is the stranded retry sweep's own report (all zero
+	// when nothing was stranded).
+	RetryResult
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // PackingStats is a cheap point-in-time summary of placement quality,
@@ -72,8 +69,9 @@ type PackingStats struct {
 	Stranded int `json:"stranded"`
 }
 
-// packingAccum folds one or more clusters (the sharded session owns a
-// cluster per shard) into a PackingStats.
+// packingAccum folds one or more clusters (the sharded session reads
+// its cluster one shard's view at a time, under that shard's lock) into
+// a PackingStats.
 type packingAccum struct {
 	ps      PackingStats
 	utilSum float64
@@ -86,7 +84,7 @@ type packingAccum struct {
 //
 //aladdin:float-ok reporting metric, not capacity accounting
 func (a *packingAccum) add(cluster *topology.Cluster) {
-	a.ps.Machines += cluster.Size()
+	a.ps.Machines += len(cluster.Machines())
 	for _, m := range cluster.Machines() {
 		if !m.Up() {
 			a.ps.Down++

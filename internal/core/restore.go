@@ -2,18 +2,21 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"time"
 
 	"aladdin/internal/constraint"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
 )
 
-// SessionState is the portable state of a live Session: everything a
-// warm restart needs beyond the cluster topology and the workload
-// universe (which are checkpointed alongside — the snapshot stores
-// the topology, the workload travels by reference as its trace).
+// SessionState is the portable state of a live session of either
+// shape: everything a warm restart needs beyond the cluster topology
+// and the workload universe (which are checkpointed alongside — the
+// snapshot stores the topology, the workload travels by reference as
+// its trace).  It is written in the cluster's one machine-ID space and
+// says nothing of how the session was sharded, so a state exported by
+// a ShardedSession restores into a Session and back.
 //
 // The scheduler's derived structures — the flow network, the
 // tournament-tree index, rack/sub-cluster aggregates and blacklists —
@@ -58,34 +61,26 @@ func (s *Session) Workload() *workload.Workload { return s.w }
 // Options returns the options the session was built with.
 func (s *Session) Options() Options { return s.opts }
 
+// NumShards returns 0: a Session is the unsharded core, the shape
+// Options.Shards ≤ 1 asks for.  A caller holding either session shape
+// reads how the cluster is split through this and
+// ShardedSession.NumShards.
+func (s *Session) NumShards() int { return 0 }
+
 // ExportState captures the session's portable state.  The returned
 // value shares nothing with the session; it stays valid across
 // subsequent scheduling.
 func (s *Session) ExportState() *SessionState {
 	st := &SessionState{
-		Assignment: make(constraint.Assignment),
+		Assignment: maps.Clone(s.r.assignmentMap()),
 		Requeues:   make(map[string]int),
 	}
-	for id, m := range s.r.assignmentMap() {
-		st.Assignment[id] = m
-	}
+	st.Undeployed, st.Stranded = s.led.export()
 	for _, c := range s.w.Containers() {
-		// Stranded is an undeployed sub-state: such containers appear
-		// in Undeployed (the complete not-placed ledger) and again in
-		// Stranded so a restored session keeps auto-retrying them.
-		switch s.led.state[c.Ord] {
-		case ledgerUndeployed:
-			st.Undeployed = append(st.Undeployed, c.ID)
-		case ledgerStranded:
-			st.Undeployed = append(st.Undeployed, c.ID)
-			st.Stranded = append(st.Stranded, c.ID)
-		}
 		if n := s.r.requeues[c.Ord]; n > 0 {
 			st.Requeues[c.ID] = n
 		}
 	}
-	sort.Strings(st.Undeployed)
-	sort.Strings(st.Stranded)
 	if s.opts.IsomorphismLimiting {
 		for ao, a := range s.w.Apps() {
 			if s.r.search.il.valid(ao) {
@@ -113,94 +108,175 @@ func (s *Session) ExportState() *SessionState {
 // undeployed all fail with an error rather than restoring a silently
 // diverged state.
 func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluster, st *SessionState) (*Session, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: restore: nil state")
-	}
-	var start time.Time
-	if opts.Metrics != nil {
-		start = opts.now()
-	}
+	start := opts.now()
 	s := NewSession(opts, w, cluster)
-	r := s.r
+	if err := s.led.restore(st); err != nil {
+		return nil, err
+	}
+	if err := s.replay(st, func(*workload.Container) bool { return true }); err != nil {
+		return nil, err
+	}
+	s.r.met.restored(opts, start)
+	return s, nil
+}
 
+// replay loads into a freshly built session the part of a captured
+// state that is this session's to hold: the placements, through the
+// scheduler's place path, and requeue budgets of the containers holds
+// selects — all of them for a Session restored whole, a shard's own
+// for a shard — and every IL proof.
+func (s *Session) replay(st *SessionState, holds func(*workload.Container) bool) error {
+	r := s.r
 	// Deterministic replay in workload (ordinal) order.  The final
 	// state is order-independent — flows, blacklist sets and aggregates
 	// all commute — but a fixed order keeps restores reproducible for
 	// debugging.
-	for _, c := range w.Containers() {
+	for _, c := range s.w.Containers() {
 		m, ok := st.Assignment[c.ID]
-		if !ok {
+		if !ok || !holds(c) {
 			continue
 		}
-		machine := cluster.Machine(m)
+		machine := s.cluster.Machine(m)
 		if machine == nil {
-			return nil, fmt.Errorf("core: restore: container %s assigned to unknown machine %d", c.ID, m)
+			return fmt.Errorf("core: restore: container %s assigned to unknown machine %d", c.ID, m)
 		}
 		if !machine.Up() {
-			return nil, fmt.Errorf("core: restore: container %s assigned to down machine %s", c.ID, machine.Name)
+			return fmt.Errorf("core: restore: container %s assigned to down machine %s", c.ID, machine.Name)
 		}
 		if err := r.place(c, m); err != nil {
-			return nil, fmt.Errorf("core: restore: %w", err)
+			return fmt.Errorf("core: restore: %w", err)
 		}
+		// What a shard's ledger must know to refuse a second placement;
+		// a whole Session's has it from ledger.restore already.
 		s.led.state[c.Ord] = ledgerPlaced
-	}
-	// Pure validation sweep: which offending container the error names
-	// may vary with map order, but whether an error is returned cannot.
-	//aladdin:nondeterministic-ok error-path-only selection
-	for id := range st.Assignment {
-		if w.Container(id) == nil {
-			return nil, fmt.Errorf("core: restore: container %s not in workload universe", id)
-		}
-	}
-	for _, id := range st.Undeployed {
-		c := w.Container(id)
-		if c == nil {
-			return nil, fmt.Errorf("core: restore: undeployed container %s not in workload universe", id)
-		}
-		if s.led.state[c.Ord] == ledgerPlaced {
-			return nil, fmt.Errorf("core: restore: container %s both placed and undeployed", id)
-		}
-		s.led.state[c.Ord] = ledgerUndeployed
-	}
-	for _, id := range st.Stranded {
-		c := w.Container(id)
-		if c == nil {
-			return nil, fmt.Errorf("core: restore: stranded container %s not in workload universe", id)
-		}
-		if s.led.state[c.Ord] != ledgerUndeployed {
-			return nil, fmt.Errorf("core: restore: stranded container %s not in the undeployed ledger", id)
-		}
-		s.led.set(c.Ord, ledgerStranded)
 	}
 	// Distinct ordinals: the writes commute, and which entry an error
 	// names may vary with map order but not whether one is returned.
 	//aladdin:nondeterministic-ok commutative writes, error-path-only selection
 	for id, n := range st.Requeues {
-		c := w.Container(id)
+		c := s.w.Container(id)
 		if c == nil {
-			return nil, fmt.Errorf("core: restore: requeue ledger references unknown container %s", id)
+			return fmt.Errorf("core: restore: requeue ledger references unknown container %s", id)
 		}
 		if n < 0 {
-			return nil, fmt.Errorf("core: restore: container %s has negative requeue count %d", id, n)
+			return fmt.Errorf("core: restore: container %s has negative requeue count %d", id, n)
 		}
-		r.requeues[c.Ord] = n
+		if holds(c) {
+			r.requeues[c.Ord] = n
+		}
 	}
 	// Warm the IL cache last: the replay above never released capacity
 	// (place only), so the captured unplaceability proofs still hold at
 	// the fresh session's release generation.  Skipped when the restored
 	// configuration runs without IL — the memo would never be read.
-	if opts.IsomorphismLimiting {
+	if s.opts.IsomorphismLimiting {
 		for _, appID := range st.ILFailed {
 			ref := r.blacklist.Ref(appID)
 			if ref == constraint.NoApp {
-				return nil, fmt.Errorf("core: restore: IL cache references unknown app %s", appID)
+				return fmt.Errorf("core: restore: IL cache references unknown app %s", appID)
 			}
 			r.search.il.note(ref)
 		}
 	}
-	if r.met.on {
-		r.met.restoreLat.Observe(opts.now().Sub(start).Microseconds())
-		r.met.restores.Inc()
+	return nil
+}
+
+// Cluster returns the cluster the session was built over; the shards
+// schedule on views of its machines, so it carries every live
+// allocation and failure.
+func (s *ShardedSession) Cluster() *topology.Cluster { return s.parent }
+
+// Options returns the options the session was built with (Shards as
+// requested; NumShards reports the count after clamping).
+func (s *ShardedSession) Options() Options { return s.opts }
+
+// ExportState captures the sharded session's portable state in the one
+// shape-agnostic SessionState: the assignment is the union of the
+// shards' (they are machine-disjoint), the undeployed and stranded
+// ledgers are the wrapper's (the shards' own are never read), a
+// container's requeue count is summed over the shards that evicted it,
+// and an application counts as proven unplaceable only when every
+// shard has proven it — any other shard might still take it.  Like
+// AuditInvariants it is meant to run quiesced: each shard is read
+// under its own lock, but not all under one.
+func (s *ShardedSession) ExportState() *SessionState {
+	st := &SessionState{
+		Assignment: s.Assignment(),
+		Requeues:   make(map[string]int),
 	}
+	s.mu.Lock()
+	st.Undeployed, st.Stranded = s.led.export()
+	s.mu.Unlock()
+	apps, containers := s.w.Apps(), s.w.Containers()
+	proofs := make([]int, len(apps))
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for ord, n := range sh.sess.r.requeues {
+			if n > 0 {
+				st.Requeues[containers[ord].ID] += n
+			}
+		}
+		for ao := range apps {
+			if sh.sess.r.search.il.valid(ao) {
+				proofs[ao]++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	// Without IL nothing is ever noted, so nothing is listed, as for a
+	// Session.
+	for ao, a := range apps {
+		if proofs[ao] == len(s.shards) {
+			st.ILFailed = append(st.ILFailed, a.ID)
+		}
+	}
+	sort.Strings(st.ILFailed)
+	return st
+}
+
+// RestoreSharded is RestoreSession for the sharded core: a sharded
+// session is built over the fresh cluster, the wrapper's ledger is
+// validated and rebuilt by the same rules, and each shard replays —
+// through the same Session replay, so its network, index and
+// blacklists are rebuilt as live scheduling would have left them — the
+// placements on the machines it owns.  The routing tables are a
+// function of workload and cluster and are rebuilt, not restored.  An
+// unplaced container's requeue count goes to its first-try shard: the
+// one count cannot be split back over the shards that built it up, and
+// charging it where the container can next be a victim never lets it be
+// preempted past its budget.  Every shard is given every IL proof;
+// ExportState kept only those all shards shared.
+func RestoreSharded(opts Options, w *workload.Workload, cluster *topology.Cluster, st *SessionState) (*ShardedSession, error) {
+	start := opts.now()
+	s, err := NewSharded(opts, w, cluster)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.led.restore(st); err != nil {
+		return nil, err
+	}
+	// Distinct ordinals (the ledger restore vouched for the IDs): the
+	// writes commute, and which entry an error names may vary with map
+	// order but not whether one is returned.
+	//aladdin:nondeterministic-ok commutative writes, error-path-only selection
+	for id, m := range st.Assignment {
+		if _, err := s.shardFor(m); err != nil {
+			return nil, fmt.Errorf("core: restore: container %s: %w", id, err)
+		}
+		s.shardOf[w.Container(id).Ord] = s.ownerOf[m]
+	}
+	for k, sh := range s.shards {
+		k := int32(k)
+		holds := func(c *workload.Container) bool {
+			if placedOn := s.shardOf[c.Ord]; placedOn != noShard {
+				return placedOn == k
+			}
+			return s.routeOf[c.Ord] == k
+		}
+		if err := sh.sess.replay(st, holds); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", k, err)
+		}
+	}
+	newCoreMetrics(opts.Metrics, opts.MetricLabels).restored(opts, start)
 	return s, nil
 }

@@ -409,7 +409,7 @@ const parallelSweepMinMachines = 512
 // sweepParallel reports whether exhaustive (no-DL / resource-fit)
 // searches should shard per sub-cluster across workers.
 func (s *searcher) sweepParallel() bool {
-	return len(s.agg.subNames) > 1 && s.cluster.Size() >= parallelSweepMinMachines
+	return len(s.agg.subNames) > 1 && len(s.cluster.Machines()) >= parallelSweepMinMachines
 }
 
 // findMachine returns the machine chosen for the container, or

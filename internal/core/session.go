@@ -36,12 +36,6 @@ type Session struct {
 	// steps is the rescue step set Options selects for every pipeline
 	// pass of this session.
 	steps steps
-	// disableRecoverRetry turns off RecoverMachine's automatic
-	// stranded-container retry.  The sharded wrapper sets it on its
-	// shard sessions: a shard cannot retry its own strandings because
-	// the feasible destination may live on another shard, so the
-	// wrapper runs the sweep itself across all shards.
-	disableRecoverRetry bool
 
 	// Reusable per-batch scratch: the queue (batch plus requeued
 	// preemption victims), the containers the last pipeline pass (Place
@@ -438,12 +432,23 @@ func (s *Session) FailMachine(id topology.MachineID) (*FailureResult, error) {
 // is an internal placement error from the retry sweep.
 func (s *Session) RecoverMachine(id topology.MachineID) (*RecoverResult, error) {
 	start := s.opts.now()
+	if err := s.markUp(id); err != nil {
+		return nil, err
+	}
+	return recovered(s.opts, start, id, s.RetryStranded)
+}
+
+// markUp is the first half of a recovery: the failed machine goes back
+// into service on the session that schedules on it.  Which stranded
+// containers then retry is the caller's business — a session's own, or
+// for a shard the whole sharded session's.
+func (s *Session) markUp(id topology.MachineID) error {
 	machine := s.r.cluster.Machine(id)
 	if machine == nil {
-		return nil, fmt.Errorf("core: session: unknown machine %d", id)
+		return fmt.Errorf("core: session: unknown machine %d", id)
 	}
 	if machine.Up() {
-		return nil, fmt.Errorf("core: session: machine %s is not down", machine.Name)
+		return fmt.Errorf("core: session: machine %s is not down", machine.Name)
 	}
 	machine.MarkUp()
 	s.r.search.noteUpdate(id)
@@ -452,19 +457,20 @@ func (s *Session) RecoverMachine(id topology.MachineID) (*RecoverResult, error) 
 	s.r.met.machinesUp.Add(1)
 	s.r.met.machinesDown.Add(-1)
 	s.r.trc.Emit(obs.Event{Kind: obs.EvRecoverMachine, Machine: int64(id)})
+	return nil
+}
+
+// recovered is the second half of a recovery, the same for both session
+// shapes: run the shape's unbudgeted stranded retry sweep and report it
+// as machine id's RecoverResult.  A non-nil error beside the result is
+// an internal placement error from the sweep.
+func recovered(opts Options, start time.Time, id topology.MachineID, retry func(budget int) (*RetryResult, error)) (*RecoverResult, error) {
 	res := &RecoverResult{Machine: id}
-	var err error
-	if !s.disableRecoverRetry && s.led.strandedN > 0 {
-		var rr *RetryResult
-		rr, err = s.RetryStranded(0)
-		if rr != nil {
-			res.Retried = rr.Retried
-			res.Replaced = rr.Replaced
-			res.Migrations = rr.Migrations
-			res.Preemptions = rr.Preemptions
-		}
+	rr, err := retry(0)
+	if rr != nil {
+		res.RetryResult = *rr
 	}
-	res.Elapsed = s.opts.now().Sub(start)
+	res.Elapsed = opts.now().Sub(start)
 	return res, err
 }
 

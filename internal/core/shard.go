@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -19,22 +20,23 @@ import (
 const noShard int32 = -1
 
 // coreShard is one slice of a sharded scheduler: a full single-core
-// Session over a private sub-cluster partition of the parent
-// topology.  mu guards sess and cluster — every call into either goes
-// through it, so the single-threaded Session contract holds per shard
-// while different shards run concurrently.
+// Session over a view (topology.Restrict) of the sub-clusters it owns
+// in the parent cluster.  mu guards sess and, through it, the view's
+// machines — every call into the session goes through it, so the
+// single-threaded Session contract holds per shard while different
+// shards run concurrently.
 type coreShard struct {
 	//aladdin:lock-level 20 per-shard session lock, taken under placeMu and before the wrapper mu
-	mu      sync.Mutex
-	sess    *Session
-	cluster *topology.Cluster
+	mu   sync.Mutex
+	sess *Session
 }
 
 // ShardedSession partitions the scheduler core along sub-cluster
-// boundaries: each shard owns a contiguous run of sub-clusters as its
-// own topology copy, flow network, tournament subtree, IL cache and
-// scratch arena, so independent applications place concurrently with
-// no shared mutable scheduler state.  Cross-shard anti-affinity needs
+// boundaries: each shard owns a contiguous run of the cluster's
+// sub-clusters — the machines themselves, through a view, not a copy —
+// with its own flow network, tournament subtree, IL cache and scratch
+// arena, so independent applications place concurrently with no shared
+// mutable scheduler state.  Cross-shard anti-affinity needs
 // no reconciliation protocol: blacklists are per-machine and the
 // shards are machine-disjoint, so a constraint can only ever bind
 // inside the shard whose machines it names.
@@ -64,22 +66,14 @@ type ShardedSession struct {
 	shards []*coreShard
 
 	// Immutable routing tables, built at construction.  The //aladdin:domain
-	// directives declare each table's id spaces: "global" is a machine id
-	// in the parent cluster, "machine" a machine id local to one shard's
-	// topology copy, "shard" a shard index, "app" an app index in the
-	// workload universe, and "ord" a container ordinal.
+	// directives declare each table's id spaces: "machine" is a machine id
+	// (the parent cluster's and every shard view's alike), "shard" a shard
+	// index, "app" an app index in the workload universe, and "ord" a
+	// container ordinal.
 
 	//aladdin:lock-ok immutable after construction
-	//aladdin:domain global -> shard owning shard of each global machine id
+	//aladdin:domain machine -> shard owning shard of each machine id
 	ownerOf []int32
-
-	//aladdin:lock-ok immutable after construction
-	//aladdin:domain global -> machine global machine id → id inside its shard
-	localOf []topology.MachineID
-
-	//aladdin:lock-ok immutable after construction
-	//aladdin:domain shard, machine -> global per-shard local → global machine id
-	globalOf [][]topology.MachineID
 
 	//aladdin:lock-ok immutable after construction
 	//aladdin:domain app -> shard app index → home shard
@@ -121,60 +115,46 @@ type ShardedSession struct {
 // empty cluster.  opts.Shards picks the shard count, clamped to
 // [1, number of sub-clusters]; sub-cluster si goes to shard si·K/S,
 // so shards own contiguous, near-equal runs of sub-clusters and each
-// shard's machines keep the parent's traversal order.  The parent
-// cluster is retained as the routing map only — allocations live on
-// the per-shard topology copies (ShardClusters).
+// shard's machines keep the parent's traversal order.  Each shard
+// schedules on cluster.Restrict(its sub-clusters), so every allocation
+// and failure lands on the cluster's own machines and machine ids mean
+// the same thing at every level.
 func NewSharded(opts Options, w *workload.Workload, cluster *topology.Cluster) (*ShardedSession, error) {
 	subs := cluster.SubClusters()
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("core: sharded: cluster has no sub-clusters")
 	}
-	for _, m := range cluster.Machines() {
-		if m.NumContainers() > 0 {
-			return nil, fmt.Errorf("core: sharded: machine %s already hosts containers; sharding requires an empty cluster", m.Name)
-		}
+	if n := cluster.UsedMachines(); n > 0 {
+		return nil, fmt.Errorf("core: sharded: %d machines already host containers; sharding requires an empty cluster", n)
 	}
-	k := opts.Shards
-	if k < 1 {
-		k = 1
-	}
-	if k > len(subs) {
-		k = len(subs)
-	}
+	k := min(max(opts.Shards, 1), len(subs))
 
 	s := &ShardedSession{
-		opts:     opts,
-		w:        w,
-		parent:   cluster,
-		name:     fmt.Sprintf("%s+S%d", opts.Name(), k),
-		ownerOf:  make([]int32, cluster.Size()),
-		localOf:  make([]topology.MachineID, cluster.Size()),
-		globalOf: make([][]topology.MachineID, k),
-		led:      newLedger(w),
-		shardOf:  make([]int32, w.NumContainers()),
+		opts:    opts,
+		w:       w,
+		parent:  cluster,
+		name:    fmt.Sprintf("%s+S%d", opts.Name(), k),
+		ownerOf: make([]int32, cluster.Size()),
+		led:     newLedger(w),
+		shardOf: make([]int32, w.NumContainers()),
 	}
 	for i := range s.shardOf {
 		s.shardOf[i] = noShard
 	}
 
-	specs := make([][]topology.MachineSpec, k)
-	capCPU := make([]int64, k)
+	owned := make([][]string, k)
 	for si, subName := range subs {
 		shard := si * k / len(subs)
-		sub := cluster.SubCluster(subName)
-		for _, rackName := range sub.Racks {
-			for _, gid := range cluster.Rack(rackName).Machines {
-				m := cluster.Machine(gid)
-				s.ownerOf[gid] = int32(shard)
-				s.localOf[gid] = topology.MachineID(len(specs[shard]))
-				s.globalOf[shard] = append(s.globalOf[shard], gid)
-				capCPU[shard] += m.Capacity().Dim(resource.CPU)
-				specs[shard] = append(specs[shard], topology.MachineSpec{
-					Name: m.Name, Rack: m.Rack, Cluster: m.Cluster,
-					Capacity: m.Capacity(), Down: !m.Up(),
-				})
-			}
+		owned[shard] = append(owned[shard], subName)
+	}
+	views := make([]*topology.Cluster, k)
+	capCPU := make([]int64, k)
+	for i := range views {
+		views[i] = cluster.Restrict(owned[i])
+		for _, m := range views[i].Machines() {
+			s.ownerOf[m.ID] = int32(i)
 		}
+		capCPU[i] = views[i].TotalCapacity().Dim(resource.CPU)
 	}
 
 	// Capacity-proportional home assignment: each application is
@@ -203,11 +183,9 @@ func NewSharded(opts Options, w *workload.Workload, cluster *topology.Cluster) (
 	// enjoys for free.  The routing stays deterministic in both
 	// concurrency modes: it depends only on immutable workload
 	// ordinals.
-	minMachines := len(s.globalOf[0])
-	for j := 1; j < k; j++ {
-		if n := len(s.globalOf[j]); n < minMachines {
-			minMachines = n
-		}
+	minMachines := cluster.Size()
+	for _, v := range views {
+		minMachines = min(minMachines, len(v.Machines()))
 	}
 	for i, a := range apps {
 		demand := a.Demand.Dim(resource.CPU) * int64(a.Replicas)
@@ -253,20 +231,8 @@ func NewSharded(opts Options, w *workload.Workload, cluster *topology.Cluster) (
 	// The wrapper consumes shard results by ordinal (AssignedOrd), so
 	// the shard sessions never need to build per-batch ID maps.
 	shardOpts.LeanPlaceResult = true
-	for i := 0; i < k; i++ {
-		cl, err := topology.FromSpecs(specs[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded: shard %d topology: %w", i, err)
-		}
-		sess := NewSession(shardOpts, w, cl)
-		// A shard cannot retry its own strandings — the feasible new
-		// home may live on another shard — so the wrapper runs the
-		// recovery sweep itself across all shards.
-		sess.disableRecoverRetry = true
-		s.shards = append(s.shards, &coreShard{
-			sess:    sess,
-			cluster: cl,
-		})
+	for _, v := range views {
+		s.shards = append(s.shards, &coreShard{sess: NewSession(shardOpts, w, v)})
 	}
 	// Every shard session seeded the shared up/down gauges from its
 	// own slice, each overwrite clobbering the last; re-baseline them
@@ -284,17 +250,6 @@ func (s *ShardedSession) Name() string { return s.name }
 // NumShards returns the effective shard count after clamping.
 func (s *ShardedSession) NumShards() int { return len(s.shards) }
 
-// ShardClusters returns the per-shard topology copies that hold the
-// live allocations (the parent cluster passed to NewSharded stays
-// empty); callers aggregate utilization and usage across them.
-func (s *ShardedSession) ShardClusters() []*topology.Cluster {
-	out := make([]*topology.Cluster, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.cluster
-	}
-	return out
-}
-
 // workers returns the fan-out width for a Place pass: one goroutine
 // per shard, capped at GOMAXPROCS — launching more shard goroutines
 // than runnable cores would only interleave them, which distorts the
@@ -310,16 +265,16 @@ func (s *ShardedSession) workers() int {
 	return len(s.shards)
 }
 
-// locate resolves a global machine id to (shard, shard-local id).
-// The routing tables are immutable after construction, so no lock is
+// shardFor resolves a machine id to the shard that schedules on it.
+// The routing table is immutable after construction, so no lock is
 // needed.
 //
-//aladdin:domain global -> _
-func (s *ShardedSession) locate(gid topology.MachineID) (*coreShard, topology.MachineID, error) {
-	if int(gid) < 0 || int(gid) >= len(s.ownerOf) {
-		return nil, topology.Invalid, fmt.Errorf("core: sharded: unknown machine %d", gid)
+//aladdin:domain machine -> _
+func (s *ShardedSession) shardFor(id topology.MachineID) (*coreShard, error) {
+	if int(id) < 0 || int(id) >= len(s.ownerOf) {
+		return nil, fmt.Errorf("core: sharded: unknown machine %d", id)
 	}
-	return s.shards[s.ownerOf[gid]], s.localOf[gid], nil
+	return s.shards[s.ownerOf[id]], nil
 }
 
 // unplaced records a container as off every shard in the wrapper tables
@@ -340,7 +295,7 @@ func (s *ShardedSession) unplaced(ord int, state uint8) {
 // the merge costs array reads, not hash probes.
 type shardBatch struct {
 	placed     []int32               // batch ordinals placed by this call, queue order
-	asg        []topology.MachineID  // global machine per placed entry
+	asg        []topology.MachineID  // machine per placed entry
 	stranded   []*workload.Container // batch containers left unplaced, queue order
 	victims    []*workload.Container // re-queued earlier-batch victims this call stranded
 	migrations int
@@ -370,9 +325,9 @@ func (s *ShardedSession) placeOnShard(k int, queue []*workload.Container) shardB
 	// error the untried tail lands in stranded, matching the
 	// "partial result plus error" contract of Session.Place.
 	for _, c := range queue {
-		if lm := sh.sess.AssignedOrd(c.Ord); lm != topology.Invalid {
+		if m := sh.sess.AssignedOrd(c.Ord); m != topology.Invalid {
 			out.placed = append(out.placed, int32(c.Ord))
-			out.asg = append(out.asg, s.globalOf[k][lm])
+			out.asg = append(out.asg, m)
 		} else {
 			out.stranded = append(out.stranded, c)
 		}
@@ -573,14 +528,12 @@ func (s *ShardedSession) Placed(containerID string) bool {
 }
 
 // Assignment merges the shards' container→machine maps into one
-// freshly-allocated map in the parent cluster's machine-id space.
+// freshly-allocated map.
 func (s *ShardedSession) Assignment() constraint.Assignment {
 	out := make(constraint.Assignment)
-	for k, sh := range s.shards {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, lm := range sh.sess.Assignment() {
-			out[id] = s.globalOf[k][lm]
-		}
+		maps.Copy(out, sh.sess.Assignment())
 		sh.mu.Unlock()
 	}
 	return out
@@ -621,18 +574,16 @@ func (s *ShardedSession) Remove(containerID string) error {
 
 // FailMachine routes a machine loss to its owning shard: the eviction
 // and the priority-ordered re-placement both stay inside that shard's
-// domain (stranded containers may later spill through Place).  The
-// result's machine id is translated back to the parent space.
-func (s *ShardedSession) FailMachine(gid topology.MachineID) (*FailureResult, error) {
-	sh, lid, lerr := s.locate(gid)
+// domain (stranded containers may later spill through Place).
+func (s *ShardedSession) FailMachine(id topology.MachineID) (*FailureResult, error) {
+	sh, lerr := s.shardFor(id)
 	if lerr != nil {
 		return nil, lerr
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	res, err := sh.sess.FailMachine(lid)
+	res, err := sh.sess.FailMachine(id)
 	if res != nil {
-		res.Machine = gid
 		for _, c := range sh.sess.undep {
 			s.unplaced(c.Ord, ledgerStranded)
 		}
@@ -641,34 +592,26 @@ func (s *ShardedSession) FailMachine(gid topology.MachineID) (*FailureResult, er
 }
 
 // RecoverMachine returns a failed machine to its shard's service,
-// then runs the wrapper's stranded-container retry sweep: every
-// failure-stranded container re-enters the normal Place pipeline one
-// at a time (home shard first, spilling across the others), so the
-// recovered capacity — and any other capacity that freed up since the
-// failure — is put back to work.  The sweep is unbudgeted, like the
-// single-session recovery path.
-func (s *ShardedSession) RecoverMachine(gid topology.MachineID) (*RecoverResult, error) {
+// then runs the wrapper's stranded-container retry sweep — not the
+// shard's own: a stranded container's feasible new home may live on
+// another shard.  Every failure-stranded container re-enters the normal
+// Place pipeline one at a time (home shard first, spilling across the
+// others), so the recovered capacity — and any other capacity that
+// freed up since the failure — is put back to work.  The sweep is
+// unbudgeted, like the single-session recovery path.
+func (s *ShardedSession) RecoverMachine(id topology.MachineID) (*RecoverResult, error) {
 	start := s.opts.now()
-	sh, lid, lerr := s.locate(gid)
-	if lerr != nil {
-		return nil, lerr
+	sh, err := s.shardFor(id)
+	if err != nil {
+		return nil, err
 	}
 	sh.mu.Lock()
-	res, err := sh.sess.RecoverMachine(lid)
+	err = sh.sess.markUp(id)
 	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	res.Machine = gid
-	rr, rerr := s.RetryStranded(0)
-	if rr != nil {
-		res.Retried = rr.Retried
-		res.Replaced = rr.Replaced
-		res.Migrations = rr.Migrations
-		res.Preemptions = rr.Preemptions
-	}
-	res.Elapsed = s.opts.now().Sub(start)
-	return res, rerr
+	return recovered(s.opts, start, id, s.RetryStranded)
 }
 
 // RetryStranded re-submits failure-stranded containers through the
@@ -751,8 +694,8 @@ const consolidateChunk = 64
 
 // Consolidate drains every shard in index order and returns the total
 // migrations performed.  Consolidation never crosses a shard
-// boundary: moves stay within each shard's machines, so ownership
-// tables are unaffected.
+// boundary: moves stay within each shard's machines, so the
+// container → shard table is unaffected.
 func (s *ShardedSession) Consolidate() (int, error) {
 	r, err := s.ConsolidateN(0)
 	return r.Moves, err
@@ -809,12 +752,13 @@ func (s *ShardedSession) ConsolidateN(budget int) (ConsolidateResult, error) {
 	return out, nil
 }
 
-// PackingStats aggregates placement quality across the shard clusters.
+// PackingStats aggregates placement quality across the shards, each
+// slice of the cluster read under its shard's lock.
 func (s *ShardedSession) PackingStats() PackingStats {
 	var a packingAccum
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		a.add(sh.cluster)
+		a.add(sh.sess.cluster)
 		sh.mu.Unlock()
 	}
 	s.mu.Lock()
@@ -839,16 +783,11 @@ func (s *ShardedSession) Forget(containerID string) error {
 	return s.led.forget(containerID)
 }
 
-// Audit re-checks every shard's live placement for constraint
-// violations; a healthy sharded session returns an empty slice.
+// Audit re-checks the live placement, merged across the shards, for
+// constraint violations; a healthy sharded session returns an empty
+// slice.
 func (s *ShardedSession) Audit() []constraint.Violation {
-	var out []constraint.Violation
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out = append(out, sh.sess.Audit()...)
-		sh.mu.Unlock()
-	}
-	return out
+	return constraint.AuditAntiAffinity(s.w, s.Assignment())
 }
 
 // FlowConservation verifies Equation 2 on every shard's network.

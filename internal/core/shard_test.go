@@ -64,38 +64,41 @@ func TestShardedConstruction(t *testing.T) {
 		if got := s.NumShards(); got != c.want {
 			t.Errorf("Shards=%d: NumShards=%d, want %d", c.shards, got, c.want)
 		}
-		// The shard clusters partition the parent: every machine
-		// appears exactly once, in parent traversal order within its
-		// shard, and capacities carry over.
+		// The shard views partition the parent: every machine is
+		// scheduled by exactly one shard, is the parent's own Machine
+		// under the parent's id, and the ownership table routes its id
+		// to that shard.
 		total := 0
-		seen := make(map[string]bool)
-		for _, shc := range s.ShardClusters() {
-			total += shc.Size()
-			for _, m := range shc.Machines() {
-				if seen[m.Name] {
+		seen := make(map[topology.MachineID]bool)
+		for k, sh := range s.shards {
+			view := sh.sess.Cluster()
+			if view.Size() != cl.Size() {
+				t.Errorf("Shards=%d: shard %d id space %d, parent's is %d", c.shards, k, view.Size(), cl.Size())
+			}
+			total += len(view.Machines())
+			for _, m := range view.Machines() {
+				if seen[m.ID] {
 					t.Fatalf("Shards=%d: machine %s in two shards", c.shards, m.Name)
 				}
-				seen[m.Name] = true
+				seen[m.ID] = true
+				if m != cl.Machine(m.ID) {
+					t.Errorf("Shards=%d: shard %d machine %d is not the parent's", c.shards, k, m.ID)
+				}
+				if owner, err := s.shardFor(m.ID); err != nil || owner != sh {
+					t.Errorf("Shards=%d: machine %d routes to %p (%v), want shard %d", c.shards, m.ID, owner, err, k)
+				}
 			}
 		}
 		if total != cl.Size() {
 			t.Errorf("Shards=%d: shard machines total %d, parent has %d", c.shards, total, cl.Size())
 		}
-		// Round-trip the routing tables.
-		for gid := 0; gid < cl.Size(); gid++ {
-			g := topology.MachineID(gid)
-			sh, lid, err := s.locate(g)
-			if err != nil {
-				t.Fatalf("locate(%d): %v", gid, err)
-			}
-			if got := sh.cluster.Machine(lid).Name; got != cl.Machine(g).Name {
-				t.Errorf("machine %d routes to %s, want %s", gid, got, cl.Machine(g).Name)
-			}
+		if _, err := s.shardFor(topology.MachineID(cl.Size())); err == nil {
+			t.Errorf("Shards=%d: shardFor accepted an id past the cluster", c.shards)
 		}
 	}
 
 	// Sharding an already-populated cluster must be rejected: the
-	// shard copies would silently drop the live allocations.
+	// wrapper's ledger and ownership table start empty.
 	dirty := shardCluster(16)
 	if err := dirty.Machine(0).Allocate("x", resource.Cores(1, 1024)); err != nil {
 		t.Fatal(err)

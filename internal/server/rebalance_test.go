@@ -197,6 +197,11 @@ type corruptSched struct {
 	w *workload.Workload
 }
 
+func (c corruptSched) Cluster() *topology.Cluster      { return nil }
+func (c corruptSched) ExportState() *core.SessionState { return &core.SessionState{} }
+func (c corruptSched) Options() core.Options           { return core.Options{} }
+func (c corruptSched) NumShards() int                  { return 0 }
+
 func (c corruptSched) Place([]*workload.Container) (*sched.Result, error) {
 	return nil, fmt.Errorf("corrupt")
 }
@@ -227,10 +232,10 @@ func (c corruptSched) RetryStranded(int) (*core.RetryResult, error) {
 // the restore-from-checkpoint signal — never a retryable 409.
 func TestConsolidateCorruptionStatus(t *testing.T) {
 	s, w := testServer(t)
-	bad := newTenant("bad", corruptSched{w: w}, nil, w, topology.New(topology.Config{
+	bad := newTenant("bad", corruptSched{w: w}, w, topology.New(topology.Config{
 		Machines: 2, MachinesPerRack: 2, RacksPerCluster: 1,
 		Capacity: resource.Cores(32, 64*1024),
-	}), "", 0, nil)
+	}), "", nil)
 	s.mu.Lock()
 	s.tenants["bad"] = bad
 	s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"aladdin/internal/checkpoint"
 	"aladdin/internal/constraint"
 	"aladdin/internal/core"
 	"aladdin/internal/obs"
@@ -21,7 +22,8 @@ import (
 // Sched is the scheduling surface a tenant needs from its session.
 // Both core.Session (single-threaded, guarded by the tenant lock) and
 // core.ShardedSession (internally synchronized) satisfy it, so a
-// tenant can opt into the sharded core at creation.
+// tenant can opt into the sharded core at creation and every handler,
+// checkpoint and restore included, serves both shapes through it.
 type Sched interface {
 	Place(batch []*workload.Container) (*sched.Result, error)
 	Remove(containerID string) error
@@ -33,6 +35,29 @@ type Sched interface {
 	// The continuous-rescheduling surface (also the consolidate
 	// endpoint's direct path) and the invariant audits.
 	rebalance.Target
+	// What a checkpoint captures; what a restore rebuilds the session
+	// with; and how many shards it ended up with (0 = unsharded).
+	checkpoint.Source
+	Options() core.Options
+	NumShards() int
+}
+
+// newSched builds a tenant's session over cluster in the shape
+// opts.Shards selects — the one place the server tells the two session
+// types apart.  A nil state starts the session empty (creation must not
+// count as a restore); otherwise the session is restored from it.  On
+// an error the Sched is not to be used (it may hold a nil pointer).
+func newSched(opts core.Options, w *workload.Workload, cluster *topology.Cluster, st *core.SessionState) (Sched, error) {
+	switch sharded := opts.Shards > 1; {
+	case sharded && st == nil:
+		return core.NewSharded(opts, w, cluster)
+	case sharded:
+		return core.RestoreSharded(opts, w, cluster, st)
+	case st == nil:
+		return core.NewSession(opts, w, cluster), nil
+	default:
+		return core.RestoreSession(opts, w, cluster, st)
+	}
 }
 
 // DefaultTenant is the name of the tenant New builds from its session
@@ -74,7 +99,7 @@ func newTenantMetrics(reg *obs.Registry, name string) tenantMetrics {
 }
 
 // Tenant is one named scheduling session: its own workload universe,
-// cluster, session (plain or sharded), checkpoint path, coalescing
+// cluster, session (of either shape), checkpoint path, coalescing
 // batcher, and labeled metrics.  Handlers for /t/{tenant}/... resolve
 // a Tenant and operate on it alone, so tenants never contend on each
 // other's locks.
@@ -83,9 +108,11 @@ type Tenant struct {
 
 	// mu is the session lock, the per-tenant successor of the old
 	// server-wide handler lock: mutating handlers take it exclusively
-	// (a plain core.Session is single-threaded by design; for sharded
-	// sessions it additionally serializes the cached view rebuild in
-	// unlockAfterWrite), read-only handlers share it.  The core's own
+	// (a core.Session is single-threaded by design; a sharded session
+	// locks for itself, but the readers of cluster — sample, /explain,
+	// checkpoint capture — read machines its shards write, and the
+	// cached view rebuild in unlockAfterWrite needs serializing),
+	// read-only handlers share it.  The core's own
 	// locks (placeMu and below) nest strictly inside it; the analyzer
 	// sees only intra-package nesting, so the server-layer levels
 	// (40/42/44) order the registry, batcher and tenant locks among
@@ -94,14 +121,11 @@ type Tenant struct {
 	//aladdin:lock-level 44 per-tenant session lock; innermost server-layer lock, never held while acquiring the registry or batcher locks
 	mu    sync.RWMutex
 	sched Sched
-	// plain is the concrete session when the tenant is unsharded;
-	// checkpoint capture and restore need it (snapshots replay
-	// through a single flow network).  Nil for sharded tenants.
-	plain    *core.Session
-	w        *workload.Workload
+	w     *workload.Workload
+	// cluster is the one sched schedules: every allocation and failure
+	// lands on its machines, whatever the session's shape.
 	cluster  *topology.Cluster
 	ckptPath string
-	shards   int
 
 	bat *batcher
 	met tenantMetrics
@@ -120,15 +144,13 @@ type Tenant struct {
 
 // newTenant wraps an existing session as a tenant and materializes
 // its lazy read views so shared-lock readers never write them.
-func newTenant(name string, sch Sched, plain *core.Session, w *workload.Workload, cluster *topology.Cluster, ckptPath string, shards int, reg *obs.Registry) *Tenant {
+func newTenant(name string, sch Sched, w *workload.Workload, cluster *topology.Cluster, ckptPath string, reg *obs.Registry) *Tenant {
 	t := &Tenant{
 		name:     name,
 		sched:    sch,
-		plain:    plain,
 		w:        w,
 		cluster:  cluster,
 		ckptPath: ckptPath,
-		shards:   shards,
 		met:      newTenantMetrics(reg, name),
 	}
 	t.sched.Assignment()
@@ -167,8 +189,9 @@ type TenantSpec struct {
 	// cluster, so shared universes never contend).
 	Factor int   `json:"factor,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
-	// Shards, when > 1, backs the tenant with the sharded core
-	// (checkpoint/restore are unsupported there).
+	// Shards, when > 1, backs the tenant with the sharded core, clamped
+	// to the cluster's sub-cluster count; the tenant's row reports the
+	// count it got.
 	Shards int `json:"shards,omitempty"`
 	// CheckpointPath is the tenant's default snapshot destination.
 	CheckpointPath string `json:"checkpoint_path,omitempty"`
@@ -230,21 +253,11 @@ func (s *Server) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	opts.MetricLabels = obs.Labels{"tenant": spec.Name}
 	opts.Shards = spec.Shards
 
-	var (
-		sch   Sched
-		plain *core.Session
-	)
-	if spec.Shards > 1 {
-		ss, err := core.NewSharded(opts, w, cluster)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %q sharded core: %w", spec.Name, err)
-		}
-		sch = ss
-	} else {
-		plain = core.NewSession(opts, w, cluster)
-		sch = plain
+	sch, err := newSched(opts, w, cluster, nil)
+	if err != nil {
+		return nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
 	}
-	t := newTenant(spec.Name, sch, plain, w, cluster, spec.CheckpointPath, spec.Shards, s.reg)
+	t := newTenant(spec.Name, sch, w, cluster, spec.CheckpointPath, s.reg)
 	if s.coalesce.enabled() {
 		t.bat = newBatcher(t, s.coalesce)
 	}
@@ -326,9 +339,9 @@ type tenantInfo struct {
 }
 
 // info reads one tenant's summary.  The live cluster numbers come from
-// sample, the one reader of live cluster state (a sharded tenant's own
-// cluster is a routing map nobody places on or fails); everything else
-// here is immutable after construction.
+// sample, which reads them under the tenant lock; so does the shard
+// count, which a restore onto a differently-shaped cluster can change.
+// Everything else here is immutable after construction.
 func (t *Tenant) info() tenantInfo {
 	depth := 0
 	if t.bat != nil {
@@ -343,7 +356,7 @@ func (t *Tenant) info() tenantInfo {
 		Placed:         cs.placed,
 		QueueDepth:     depth,
 		Coalescing:     t.bat != nil,
-		Shards:         t.shards,
+		Shards:         cs.shards,
 		CheckpointPath: t.ckptPath,
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -130,7 +129,7 @@ func New(session *core.Session, w *workload.Workload, cluster *topology.Cluster,
 		opt(s)
 	}
 	s.baseOpts = session.Options()
-	s.def = newTenant(DefaultTenant, session, session, w, cluster, s.ckptPath, 0, s.reg)
+	s.def = newTenant(DefaultTenant, session, w, cluster, s.ckptPath, s.reg)
 	if s.coalesce.enabled() {
 		s.def.bat = newBatcher(s.def, s.coalesce)
 	}
@@ -239,6 +238,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, t *Tenant)
 // whole fleet.
 type clusterSample struct {
 	tenant   string
+	shards   int
 	machines int
 	used     int
 	down     int
@@ -250,50 +250,22 @@ type clusterSample struct {
 	hi       float64
 }
 
-// liveClusters returns the topology copies that hold the tenant's live
-// allocations: the tenant's own cluster when unsharded, the per-shard
-// copies when sharded (the cluster a sharded core was built from stays
-// empty — reading it reports a cluster nobody placed on).
-func (t *Tenant) liveClusters() []*topology.Cluster {
-	if ss, ok := t.sched.(*core.ShardedSession); ok {
-		return ss.ShardClusters()
-	}
-	return []*topology.Cluster{t.cluster}
-}
-
 // sample reads one tenant's cluster summary under its read lock.
 func (t *Tenant) sample() clusterSample {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	total := t.cluster.TotalUsed()
 	cs := clusterSample{
 		tenant:   t.name,
+		shards:   t.sched.NumShards(),
 		machines: t.cluster.Size(),
+		used:     t.cluster.UsedMachines(),
+		down:     t.cluster.DownMachines(),
 		placed:   len(t.sched.Assignment()),
-		lo:       1,
+		cpu:      total.Dim(resource.CPU),
+		mem:      total.Dim(resource.Memory),
 	}
-	var total resource.Vector
-	for _, cl := range t.liveClusters() {
-		for _, m := range cl.Machines() {
-			if !m.Up() {
-				cs.down++
-			}
-			total = total.Add(m.Used())
-			if m.NumContainers() == 0 {
-				continue
-			}
-			cs.used++
-			u := m.CPUUtilization()
-			cs.lo = math.Min(cs.lo, u)
-			cs.hi = math.Max(cs.hi, u)
-			cs.mean += u
-		}
-	}
-	cs.cpu, cs.mem = total.Dim(resource.CPU), total.Dim(resource.Memory)
-	if cs.used == 0 {
-		cs.lo = 0
-	} else {
-		cs.mean /= float64(cs.used)
-	}
+	cs.lo, cs.mean, cs.hi = t.cluster.UtilizationRange()
 	return cs
 }
 
@@ -767,8 +739,6 @@ type checkpointResponse struct {
 // the snapshot is written crash-safely and a summary returned;
 // without one the snapshot JSON itself is the response, so an
 // operator can checkpoint a diskless server through curl alone.
-// Sharded tenants cannot checkpoint: snapshots replay through a
-// single flow network.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req checkpointRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -777,11 +747,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, t *Ten
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.plain == nil {
-		http.Error(w, fmt.Sprintf("tenant %q runs the sharded core; checkpointing is unsupported", t.name), http.StatusConflict)
-		return
-	}
-	snap, err := checkpoint.CaptureSession(t.plain)
+	snap, err := checkpoint.CaptureSession(t.sched)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -821,9 +787,10 @@ type restoreResponse struct {
 }
 
 // handleRestore replaces the tenant's live session with one rebuilt
-// from a v2 snapshot.  The workload universe is the tenant's own: a
-// snapshot captured against a different trace fails validation rather
-// than restoring a diverged state.
+// from a v2 snapshot, in the shape the tenant was created with whatever
+// shape captured the snapshot.  The workload universe is the tenant's
+// own: a snapshot captured against a different trace fails validation
+// rather than restoring a diverged state.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req restoreRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -848,21 +815,22 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, t *Tenant
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	t.mu.Lock()
-	defer t.unlockAfterWrite()
-	if t.plain == nil {
-		http.Error(w, fmt.Sprintf("tenant %q runs the sharded core; restore is unsupported", t.name), http.StatusConflict)
-		return
-	}
-	sess, cluster, err := snap.Restore(t.plain.Options(), t.w)
+	cluster, st, err := snap.State()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	t.plain, t.sched, t.cluster = sess, sess, cluster
+	t.mu.Lock()
+	defer t.unlockAfterWrite()
+	sch, err := newSched(t.sched.Options(), t.w, cluster, st)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	t.sched, t.cluster = sch, cluster
 	writeJSON(w, restoreResponse{
 		Machines:   cluster.Size(),
-		Placed:     len(sess.Assignment()),
+		Placed:     len(st.Assignment),
 		Undeployed: len(snap.Undeployed),
 	})
 }

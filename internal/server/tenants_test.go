@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"aladdin/internal/core"
 )
 
 // TestTenantLifecycle walks the registry CRUD surface: the default
@@ -118,24 +120,146 @@ func TestTenantPrivateWorkload(t *testing.T) {
 }
 
 // TestTenantSharded: Shards > 1 backs the tenant with the sharded
-// core; placement works, checkpoint and restore refuse.
+// core; placement works, the tenant's row reports the shard count it
+// got rather than the one it asked for, and a checkpoint survives a
+// restore byte for byte.
 func TestTenantSharded(t *testing.T) {
 	s, _ := testServer(t)
+	// Four machines are one sub-cluster, so the two shards asked for
+	// clamp to one.
 	rec := do(t, s, http.MethodPost, "/tenants", `{"name":"wide","machines":4,"shards":2}`)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
 	}
+	var created tenantInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	var infos []tenantInfo
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/tenants", "").Body.Bytes(), &infos); err != nil {
+		t.Fatal(err)
+	}
+	if created.Shards != 1 || len(infos) != 2 || infos[1].Shards != 1 {
+		t.Fatalf("shards: create reply %d, /tenants %+v; want the effective count 1", created.Shards, infos)
+	}
 	if rec := do(t, s, http.MethodPost, "/t/wide/place", `{"containers":["web/0","db/0"]}`); rec.Code != http.StatusOK {
 		t.Fatalf("sharded place = %d: %s", rec.Code, rec.Body)
 	}
-	if rec := do(t, s, http.MethodPost, "/t/wide/checkpoint", ""); rec.Code != http.StatusConflict {
-		t.Fatalf("sharded checkpoint = %d, want 409: %s", rec.Code, rec.Body)
+	before := do(t, s, http.MethodPost, "/t/wide/checkpoint", "")
+	if before.Code != http.StatusOK {
+		t.Fatalf("sharded checkpoint = %d: %s", before.Code, before.Body)
 	}
-	if rec := do(t, s, http.MethodPost, "/t/wide/restore", `{"path":"nope.json"}`); rec.Code == http.StatusOK {
-		t.Fatalf("sharded restore = %d, want failure", rec.Code)
+	body, err := json.Marshal(restoreRequest{Snapshot: before.Body.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/restore", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("sharded restore = %d: %s", rec.Code, rec.Body)
+	}
+	if after := do(t, s, http.MethodPost, "/t/wide/checkpoint", ""); after.Body.String() != before.Body.String() {
+		t.Fatalf("checkpoint changed across restore:\n before: %s\n after: %s", before.Body, after.Body)
 	}
 	if rec := do(t, s, http.MethodGet, "/t/wide/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("sharded healthz = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestShardedCheckpointRestore: a tenant on four real shards
+// checkpoints with a machine down, restores its own snapshot to the
+// same bytes and the same /assignments, and the same snapshot restored
+// into an unsharded tenant serves the same /assignments — the snapshot
+// does not know what shape captured it.
+func TestShardedCheckpointRestore(t *testing.T) {
+	s, _ := testServer(t)
+	for _, spec := range []string{
+		`{"name":"wide","machines":4000,"shards":4}`,
+		`{"name":"flat","machines":4000}`,
+	} {
+		if rec := do(t, s, http.MethodPost, "/tenants", spec); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s = %d: %s", spec, rec.Code, rec.Body)
+		}
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/place", `{"containers":["web/0","web/1","web/2","db/0"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("place = %d: %s", rec.Code, rec.Body)
+	}
+	// Machine 0 hosts web/0: the failure re-places it and the snapshot
+	// carries a down machine.
+	if rec := do(t, s, http.MethodPost, "/t/wide/fail", `{"machine":0}`); rec.Code != http.StatusOK {
+		t.Fatalf("fail = %d: %s", rec.Code, rec.Body)
+	}
+	snap := do(t, s, http.MethodPost, "/t/wide/checkpoint", "")
+	if snap.Code != http.StatusOK {
+		t.Fatalf("checkpoint = %d: %s", snap.Code, snap.Body)
+	}
+	asg := do(t, s, http.MethodGet, "/t/wide/assignments", "").Body.String()
+	body, err := json.Marshal(restoreRequest{Snapshot: snap.Body.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"wide", "flat"} {
+		if rec := do(t, s, http.MethodPost, "/t/"+tenant+"/restore", string(body)); rec.Code != http.StatusOK {
+			t.Fatalf("%s restore = %d: %s", tenant, rec.Code, rec.Body)
+		}
+		if got := do(t, s, http.MethodGet, "/t/"+tenant+"/assignments", "").Body.String(); got != asg {
+			t.Errorf("%s /assignments after restore:\n%s\nwant:\n%s", tenant, got, asg)
+		}
+		if got := do(t, s, http.MethodPost, "/t/"+tenant+"/checkpoint", "").Body.String(); got != snap.Body.String() {
+			t.Errorf("%s checkpoint after restore differs from the snapshot restored", tenant)
+		}
+		if rec := do(t, s, http.MethodGet, "/t/"+tenant+"/healthz", ""); rec.Code != http.StatusOK {
+			t.Errorf("%s healthz = %d: %s", tenant, rec.Code, rec.Body)
+		}
+	}
+	var infos []tenantInfo
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/tenants", "").Body.Bytes(), &infos); err != nil {
+		t.Fatal(err)
+	}
+	// Each tenant kept the shape it was created with.
+	wantShards := map[string]int{DefaultTenant: 0, "flat": 0, "wide": 4}
+	for _, ti := range infos {
+		if ti.Shards != wantShards[ti.Name] {
+			t.Errorf("tenant %s reports %d shards after restore, want %d", ti.Name, ti.Shards, wantShards[ti.Name])
+		}
+	}
+}
+
+// TestShardedTenantExplain: /explain diagnoses a sharded tenant against
+// the machines its shards schedule on.  It used to snapshot the cluster
+// the sharded core was built from, which no shard ever touched: the
+// shadow cluster had no residents and no failed machine, so the answer
+// chose the down machine, rejected nothing on resources and named no
+// blocking application.
+func TestShardedTenantExplain(t *testing.T) {
+	s, _ := testServer(t)
+	if rec := do(t, s, http.MethodPost, "/tenants", `{"name":"wide","machines":4000,"shards":4}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/place", `{"containers":["web/0","web/1"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("place = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodPost, "/t/wide/fail", `{"machine":2}`); rec.Code != http.StatusOK {
+		t.Fatalf("fail = %d: %s", rec.Code, rec.Body)
+	}
+	rec := do(t, s, http.MethodGet, "/t/wide/explain?container=db/0", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain = %d: %s", rec.Code, rec.Body)
+	}
+	var e core.Explanation
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	// web/0 and web/1 sit on machines 0 and 1 and keep db off both;
+	// machine 2 is down; machine 3 is the first that takes db/0.
+	if e.Chosen != 3 || e.ResourceRejected != 1 || e.BlacklistRejected != 2 {
+		t.Errorf("explain = %+v, want Chosen 3, ResourceRejected 1, BlacklistRejected 2", e)
+	}
+	if len(e.SampleBlockers) != 2 {
+		t.Fatalf("blockers = %+v, want the two web machines", e.SampleBlockers)
+	}
+	for _, bl := range e.SampleBlockers {
+		if len(bl.Apps) != 1 || bl.Apps[0] != "web" {
+			t.Errorf("blocker on machine %d names %v, want [web]", bl.Machine, bl.Apps)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"aladdin/internal/core"
 	"aladdin/internal/resource"
 	"aladdin/internal/sched"
-	"aladdin/internal/stats"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
 )
@@ -37,10 +36,9 @@ type ShardedConfig struct {
 // machines, then containers stranded by fragmentation get one more
 // placement pass over the drained space.
 //
-// Allocations live on the per-shard topology copies — the parent
-// cluster handed to NewSharded stays an empty routing map — so the
-// utilisation statistics aggregate over ShardClusters().  Elapsed
-// sums the Place batches' critical-path timings and WallElapsed their
+// The shards schedule on the cluster's own machines, so the
+// utilisation statistics are read off it exactly as Run reads them.
+// Elapsed sums the Place batches' critical-path timings and WallElapsed their
 // host wall-clock (see sched.Result); consolidation is bookkeeping
 // outside the timed placement path, as in RunOnline.
 func RunSharded(cfg ShardedConfig) (Metrics, error) {
@@ -130,38 +128,7 @@ func RunSharded(cfg ShardedConfig) (Metrics, error) {
 	}
 	final.Finalize(cfg.Workload)
 
-	m := collect(Config{
+	return collect(Config{
 		Scheduler: nil, Workload: cfg.Workload, Machines: cfg.Machines, Order: cfg.Order,
-	}, cluster, final)
-	// The parent cluster is empty by design; overwrite the topology
-	// statistics with the aggregate over the shard clusters.
-	m.UsedMachines, m.Utilization = shardedUtilization(sess.ShardClusters())
-	return m, nil
-}
-
-// shardedUtilization aggregates used-machine count and the Fig. 11
-// CPU-utilisation range across the shard topology copies.
-func shardedUtilization(clusters []*topology.Cluster) (int, stats.Range) {
-	used := 0
-	lo, hi, sum := 1.0, 0.0, 0.0
-	for _, cl := range clusters {
-		for _, m := range cl.Machines() {
-			if m.NumContainers() == 0 {
-				continue
-			}
-			u := m.CPUUtilization()
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-			sum += u
-			used++
-		}
-	}
-	if used == 0 {
-		return 0, stats.Range{}
-	}
-	return used, stats.Range{Min: lo, Mean: sum / float64(used), Max: hi}
+	}, cluster, final), nil
 }

@@ -43,10 +43,7 @@ func NewHeterogeneous(cfg HeteroConfig) (*Cluster, error) {
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("topology: heterogeneous cluster needs at least one class")
 	}
-	c := &Cluster{
-		racks: make(map[string]*Rack),
-		subs:  make(map[string]*SubCluster),
-	}
+	c := newCluster()
 	id := 0
 	rackIdx := 0
 	for ci, class := range cfg.Classes {
@@ -66,23 +63,10 @@ func NewHeterogeneous(cfg HeteroConfig) (*Cluster, error) {
 			subIdx := (rackIdx - 1) / perCluster
 			subName := fmt.Sprintf("cluster-%02d", subIdx)
 			name := fmt.Sprintf("machine-%05d-%s", id, class.Name)
-			m := NewMachine(MachineID(id), name, rackName, subName, class.Capacity)
+			// Rack indexes only grow, so add's one error (a rack in two
+			// sub-clusters) cannot occur.
+			_ = c.add(NewMachine(MachineID(id), name, rackName, subName, class.Capacity))
 			id++
-			c.machines = append(c.machines, m)
-			rack, ok := c.racks[rackName]
-			if !ok {
-				rack = &Rack{Name: rackName, Cluster: subName}
-				c.racks[rackName] = rack
-				c.rackOrd = append(c.rackOrd, rackName)
-				sub, ok := c.subs[subName]
-				if !ok {
-					sub = &SubCluster{Name: subName}
-					c.subs[subName] = sub
-					c.subOrd = append(c.subOrd, subName)
-				}
-				sub.Racks = append(sub.Racks, rackName)
-			}
-			rack.Machines = append(rack.Machines, m.ID)
 		}
 		_ = ci
 	}

@@ -194,13 +194,52 @@ type SubCluster struct {
 	Racks []string
 }
 
-// Cluster is the full machine inventory.
+// Cluster is a machine inventory: the full cluster a constructor
+// built, or a view of some of its sub-clusters (Restrict).
 type Cluster struct {
+	// all is the machine-ID space: every machine of the full cluster,
+	// indexed by ID.  A view shares its parent's.
+	all []*Machine
+	// machines are the members — the machines of this cluster's own
+	// sub-clusters, in ID order.  The full cluster's members are all.
 	machines []*Machine
 	racks    map[string]*Rack
 	subs     map[string]*SubCluster
 	rackOrd  []string
 	subOrd   []string
+}
+
+func newCluster() *Cluster {
+	return &Cluster{
+		racks: make(map[string]*Rack),
+		subs:  make(map[string]*SubCluster),
+	}
+}
+
+// add appends a machine to a cluster under construction, registering
+// its rack and sub-cluster in first-seen order.  Machines arrive in ID
+// order; a rack already claimed by another sub-cluster is an error.
+func (c *Cluster) add(m *Machine) error {
+	rack, ok := c.racks[m.Rack]
+	if !ok {
+		rack = &Rack{Name: m.Rack, Cluster: m.Cluster}
+		c.racks[m.Rack] = rack
+		c.rackOrd = append(c.rackOrd, m.Rack)
+		sub, ok := c.subs[m.Cluster]
+		if !ok {
+			sub = &SubCluster{Name: m.Cluster}
+			c.subs[m.Cluster] = sub
+			c.subOrd = append(c.subOrd, m.Cluster)
+		}
+		sub.Racks = append(sub.Racks, m.Rack)
+	} else if rack.Cluster != m.Cluster {
+		return fmt.Errorf("topology: rack %q claimed by sub-clusters %q and %q",
+			m.Rack, rack.Cluster, m.Cluster)
+	}
+	rack.Machines = append(rack.Machines, m.ID)
+	c.machines = append(c.machines, m)
+	c.all = c.machines // a constructed cluster is the full one: its members are the ID space
+	return nil
 }
 
 // Config describes a homogeneous cluster layout.
@@ -236,32 +275,15 @@ func New(cfg Config) *Cluster {
 	if perCluster <= 0 {
 		perCluster = 25
 	}
-	c := &Cluster{
-		racks: make(map[string]*Rack),
-		subs:  make(map[string]*SubCluster),
-	}
+	c := newCluster()
 	for i := 0; i < cfg.Machines; i++ {
 		rackIdx := i / perRack
 		subIdx := rackIdx / perCluster
 		rackName := fmt.Sprintf("rack-%04d", rackIdx)
 		subName := fmt.Sprintf("cluster-%02d", subIdx)
-		m := NewMachine(MachineID(i), fmt.Sprintf("machine-%05d", i), rackName, subName, cfg.Capacity)
-		c.machines = append(c.machines, m)
-
-		rack, ok := c.racks[rackName]
-		if !ok {
-			rack = &Rack{Name: rackName, Cluster: subName}
-			c.racks[rackName] = rack
-			c.rackOrd = append(c.rackOrd, rackName)
-			sub, ok := c.subs[subName]
-			if !ok {
-				sub = &SubCluster{Name: subName}
-				c.subs[subName] = sub
-				c.subOrd = append(c.subOrd, subName)
-			}
-			sub.Racks = append(sub.Racks, rackName)
-		}
-		rack.Machines = append(rack.Machines, m.ID)
+		// The arithmetic layout nests racks in sub-clusters, so add's
+		// one error (a rack in two sub-clusters) cannot occur.
+		_ = c.add(NewMachine(MachineID(i), fmt.Sprintf("machine-%05d", i), rackName, subName, cfg.Capacity))
 	}
 	return c
 }
@@ -294,10 +316,7 @@ func FromSpecs(specs []MachineSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("topology: no machine specs")
 	}
-	c := &Cluster{
-		racks: make(map[string]*Rack),
-		subs:  make(map[string]*SubCluster),
-	}
+	c := newCluster()
 	seen := make(map[string]bool, len(specs))
 	for i, sp := range specs {
 		if sp.Name == "" || sp.Rack == "" || sp.Cluster == "" {
@@ -317,25 +336,9 @@ func FromSpecs(specs []MachineSpec) (*Cluster, error) {
 		if sp.Down {
 			m.MarkDown()
 		}
-		c.machines = append(c.machines, m)
-
-		rack, ok := c.racks[sp.Rack]
-		if !ok {
-			rack = &Rack{Name: sp.Rack, Cluster: sp.Cluster}
-			c.racks[sp.Rack] = rack
-			c.rackOrd = append(c.rackOrd, sp.Rack)
-			sub, ok := c.subs[sp.Cluster]
-			if !ok {
-				sub = &SubCluster{Name: sp.Cluster}
-				c.subs[sp.Cluster] = sub
-				c.subOrd = append(c.subOrd, sp.Cluster)
-			}
-			sub.Racks = append(sub.Racks, sp.Rack)
-		} else if rack.Cluster != sp.Cluster {
-			return nil, fmt.Errorf("topology: rack %q claimed by sub-clusters %q and %q",
-				sp.Rack, rack.Cluster, sp.Cluster)
+		if err := c.add(m); err != nil {
+			return nil, err
 		}
-		rack.Machines = append(rack.Machines, m.ID)
 	}
 	return c, nil
 }
@@ -357,20 +360,58 @@ func (c *Cluster) Specs() []MachineSpec {
 	return out
 }
 
-// Size returns the number of machines.
-func (c *Cluster) Size() int { return len(c.machines) }
-
-// Machine returns the machine with the given ID, or nil if out of
-// range.
-func (c *Cluster) Machine(id MachineID) *Machine {
-	if id < 0 || int(id) >= len(c.machines) {
-		return nil
+// Restrict returns a view of the named sub-clusters: a Cluster that
+// shares this one's Machine, Rack and SubCluster values and its
+// machine-ID space, so an allocation made through either is seen by
+// both and an ID means the same machine in both.  Machine and Size
+// keep answering for the whole ID space (Size is the bound ID-indexed
+// arrays are sized by); Machines, Racks, SubClusters, Traverse, Specs
+// and the aggregate readers cover the named sub-clusters only, in this
+// cluster's order.  A name this cluster does not have selects nothing.
+// The scheduler managers of one cluster each schedule on such a view
+// (§III.A).
+func (c *Cluster) Restrict(subClusters []string) *Cluster {
+	keep := make(map[string]bool, len(subClusters))
+	for _, name := range subClusters {
+		keep[name] = true
 	}
-	return c.machines[id]
+	v := newCluster()
+	v.all = c.all
+	for _, name := range c.subOrd {
+		if keep[name] {
+			v.subs[name] = c.subs[name]
+			v.subOrd = append(v.subOrd, name)
+		}
+	}
+	for _, name := range c.rackOrd {
+		if rack := c.racks[name]; keep[rack.Cluster] {
+			v.racks[name] = rack
+			v.rackOrd = append(v.rackOrd, name)
+		}
+	}
+	for _, m := range c.machines {
+		if keep[m.Cluster] {
+			v.machines = append(v.machines, m)
+		}
+	}
+	return v
 }
 
-// Machines returns all machines in ID order.  The returned slice is
-// shared; callers must not mutate it.
+// Size returns the number of machine IDs: the machine count of the
+// full cluster, for a view too.  len(Machines()) counts a view's own.
+func (c *Cluster) Size() int { return len(c.all) }
+
+// Machine returns the machine with the given ID, or nil if out of
+// range.  A view resolves every ID of the full cluster.
+func (c *Cluster) Machine(id MachineID) *Machine {
+	if id < 0 || int(id) >= len(c.all) {
+		return nil
+	}
+	return c.all[id]
+}
+
+// Machines returns the cluster's machines in ID order.  The returned
+// slice is shared; callers must not mutate it.
 func (c *Cluster) Machines() []*Machine { return c.machines }
 
 // Racks returns rack names in creation order.
@@ -401,7 +442,9 @@ func (s Span) Len() int { return s.Hi - s.Lo }
 type Traversal struct {
 	// Order maps position → machine, in tier walk order.
 	Order []MachineID
-	// Pos maps machine → position (the inverse of Order).
+	// Pos maps machine → position (the inverse of Order).  It spans
+	// the whole ID space; only the entries of machines in Order mean
+	// anything.
 	Pos []int
 	// RackSpan and SubSpan locate each rack / sub-cluster in Order.
 	RackSpan map[string]Span
@@ -415,7 +458,7 @@ type Traversal struct {
 func (c *Cluster) Traverse() Traversal {
 	tr := Traversal{
 		Order:    make([]MachineID, 0, len(c.machines)),
-		Pos:      make([]int, len(c.machines)),
+		Pos:      make([]int, len(c.all)),
 		RackSpan: make(map[string]Span, len(c.racks)),
 		SubSpan:  make(map[string]Span, len(c.subs)),
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"aladdin/internal/quickseed"
@@ -363,5 +364,139 @@ func TestFromSpecsValidation(t *testing.T) {
 		if _, err := FromSpecs(tc.specs); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
+	}
+}
+
+// TestShardedRestrict pins what a sharded scheduler relies on from
+// views: they share the parent's machines and id space, restrict its
+// orders, and views over disjoint sub-clusters partition it.
+func TestShardedRestrict(t *testing.T) {
+	parent := New(Config{Machines: 22, MachinesPerRack: 3, RacksPerCluster: 2,
+		Capacity: resource.Cores(32, 65536)})
+	subs := parent.SubClusters() // 4 sub-clusters: 6+6+6+4 machines
+	if len(subs) != 4 {
+		t.Fatalf("fixture has %d sub-clusters, want 4", len(subs))
+	}
+	// Named out of order and with a stranger: the view keeps the
+	// parent's order and ignores what the parent does not have.
+	view := parent.Restrict([]string{subs[2], "nowhere", subs[1]})
+	rest := parent.Restrict([]string{subs[0], subs[3]})
+
+	if view.Size() != parent.Size() || rest.Size() != parent.Size() {
+		t.Errorf("Size: views %d and %d, want the parent's %d", view.Size(), rest.Size(), parent.Size())
+	}
+	for id := MachineID(0); int(id) < parent.Size(); id++ {
+		if view.Machine(id) != parent.Machine(id) {
+			t.Fatalf("view.Machine(%d) is not the parent's machine", id)
+		}
+	}
+	if view.Machine(MachineID(parent.Size())) != nil || view.Machine(Invalid) != nil {
+		t.Error("view resolves ids outside the parent's id space")
+	}
+
+	// Orders are the parent's, restricted.
+	if got, want := view.SubClusters(), []string{subs[1], subs[2]}; !reflect.DeepEqual(got, want) {
+		t.Errorf("SubClusters = %v, want %v", got, want)
+	}
+	var wantRacks []string
+	var wantOrder []MachineID
+	for _, g := range view.SubClusters() {
+		if view.SubCluster(g) != parent.SubCluster(g) {
+			t.Errorf("sub-cluster %s is not the parent's value", g)
+		}
+		for _, r := range parent.SubCluster(g).Racks {
+			if view.Rack(r) != parent.Rack(r) {
+				t.Errorf("rack %s is not the parent's value", r)
+			}
+			wantRacks = append(wantRacks, r)
+			wantOrder = append(wantOrder, parent.Rack(r).Machines...)
+		}
+	}
+	if !reflect.DeepEqual(view.Racks(), wantRacks) {
+		t.Errorf("Racks = %v, want %v", view.Racks(), wantRacks)
+	}
+	if view.Rack(parent.SubCluster(subs[0]).Racks[0]) != nil || view.SubCluster(subs[0]) != nil {
+		t.Error("view resolves a rack or sub-cluster it was not restricted to")
+	}
+	var gotIDs []MachineID
+	for _, m := range view.Machines() {
+		gotIDs = append(gotIDs, m.ID)
+	}
+	if !reflect.DeepEqual(gotIDs, wantOrder) {
+		t.Errorf("Machines = %v, want %v", gotIDs, wantOrder)
+	}
+	tr, ptr := view.Traverse(), parent.Traverse()
+	if !reflect.DeepEqual(tr.Order, wantOrder) {
+		t.Errorf("Traverse order = %v, want %v", tr.Order, wantOrder)
+	}
+	if len(tr.Pos) != parent.Size() {
+		t.Errorf("Traverse.Pos spans %d ids, want the id space %d", len(tr.Pos), parent.Size())
+	}
+	for p, id := range tr.Order {
+		if tr.Pos[id] != p {
+			t.Errorf("Pos[%d] = %d, want %d", id, tr.Pos[id], p)
+		}
+	}
+	for _, g := range view.SubClusters() {
+		if tr.SubSpan[g].Len() != ptr.SubSpan[g].Len() {
+			t.Errorf("sub-cluster %s spans %d positions in the view, %d in the parent", g, tr.SubSpan[g].Len(), ptr.SubSpan[g].Len())
+		}
+	}
+
+	// One set of machines: an allocation or failure through either is
+	// seen by both.
+	inView, outside := wantOrder[0], rest.Machines()[0].ID
+	if err := view.Machine(inView).Allocate("a", resource.Cores(8, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Machine(outside).Allocate("b", resource.Cores(4, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	parent.Machine(wantOrder[1]).MarkDown()
+	rest.Machine(outside + 1).MarkDown()
+	if !parent.Machine(inView).Hosts("a") || !rest.Machine(outside).Hosts("b") {
+		t.Error("an allocation through one cluster is not visible through the other")
+	}
+
+	// Aggregate readers cover members only; the two views add up to
+	// the parent.
+	if got := view.UsedMachines(); got != 1 {
+		t.Errorf("view.UsedMachines = %d, want 1", got)
+	}
+	if got := view.DownMachines(); got != 1 {
+		t.Errorf("view.DownMachines = %d, want 1", got)
+	}
+	if got, want := view.TotalUsed(), resource.Cores(8, 1024); got != want {
+		t.Errorf("view.TotalUsed = %s, want %s", got, want)
+	}
+	if lo, _, hi := view.UtilizationRange(); lo != 0.25 || hi != 0.25 {
+		t.Errorf("view.UtilizationRange = %v..%v, want 0.25..0.25", lo, hi)
+	}
+	if got, want := view.TotalCapacity(), resource.Cores(32*12, 65536*12); got != want {
+		t.Errorf("view.TotalCapacity = %s, want %s", got, want)
+	}
+	if len(view.Specs()) != 12 {
+		t.Errorf("view.Specs lists %d machines, want 12", len(view.Specs()))
+	}
+	if len(view.Machines())+len(rest.Machines()) != parent.Size() ||
+		view.UsedMachines()+rest.UsedMachines() != parent.UsedMachines() ||
+		view.DownMachines()+rest.DownMachines() != parent.DownMachines() ||
+		view.TotalUsed().Add(rest.TotalUsed()) != parent.TotalUsed() {
+		t.Error("views over disjoint sub-clusters do not add up to the parent")
+	}
+	seen := make(map[MachineID]bool)
+	for _, v := range []*Cluster{view, rest} {
+		for _, m := range v.Machines() {
+			if seen[m.ID] {
+				t.Errorf("machine %d is in two disjoint views", m.ID)
+			}
+			seen[m.ID] = true
+		}
+	}
+
+	// Reset through a view clears its members only.
+	view.Reset()
+	if parent.Machine(inView).NumContainers() != 0 || !parent.Machine(outside).Hosts("b") {
+		t.Error("view.Reset must clear the view's machines and no others")
 	}
 }
